@@ -1943,6 +1943,37 @@ let e23_coarse_routing () =
       [ "family"; "tasks"; "topology"; "routing"; "completion";
         "max contention"; "seconds"; "speedup" ]
     (List.rev !rows);
+  (* the grid once more under default options, as `oregami map` runs
+     it: the dispatch tier (family detection for the canned strategy
+     first) runs before the multilevel tier takes the graph *)
+  (let tg = Synth.generate Synth.Grid ~n:100_000 ~seed:1 in
+   let (result, stats), seconds =
+     Prelude.Clock.time (fun () -> Driver.report_taskgraph tg (topo "torus:32x32"))
+   in
+   match result with
+   | Error e -> failwith ("E23: grid n=100000 under default options: " ^ e)
+   | Ok m ->
+     let s = Metrics.summary m in
+     let canned =
+       match
+         List.find_opt
+           (fun (a : Stats.attempt) -> a.Stats.at_strategy = "canned")
+           (Stats.attempts stats)
+       with
+       | Some a -> a.Stats.at_seconds
+       | None -> 0.0
+     in
+     Printf.printf
+       "\ndefault options, grid n=100000 on torus:32x32: %s, completion %d, %.3fs (canned %.3fs)\n"
+       m.Mapping.strategy s.Metrics.completion_time seconds canned;
+     record ~experiment:"E23" ~case:"grid n=100000 on torus:32x32 via default options"
+       ~completion:s.Metrics.completion_time
+       ~extra:
+         [
+           ("max-contention", float_of_int s.Metrics.max_link_contention);
+           ("canned-seconds", canned);
+         ]
+       seconds);
   (* contention guard on the small E4/E15 suite: aggregating messages
      into per-pair demands must not concentrate a phase's traffic —
      coarse max link contention stays within 1.5x of full MM-Route on

@@ -138,19 +138,8 @@ let compile ~input ~params =
   let source, bindings = load ~input ~params in
   or_die (Larcs.Compile.compile_source ~bindings source)
 
-let parse_routing = function
-  (* "mm" is the historical spelling; keep it as an alias *)
-  | "mm" | "mm-route" -> Ok Driver.Mm_route
-  | "oblivious" -> Ok Driver.Oblivious
-  | "coarse" -> Ok Driver.Coarse
-  | "auto" -> Ok Driver.Auto
-  | other ->
-    Error
-      (Printf.sprintf "unknown routing %S (valid: mm-route, oblivious, coarse, auto)"
-         other)
-
 let options_of ~routing ~only ~exclude =
-  let routing = or_die (parse_routing routing) in
+  let routing = or_die (Ctx.routing_of_string routing) in
   { Driver.default_options with Driver.routing; Driver.only; Driver.exclude }
 
 let mapping_of ~input ~params ~topo ~routing =

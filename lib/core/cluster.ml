@@ -538,6 +538,12 @@ let repack_candidate t =
     |> List.sort (fun (na, a) (nb, b) ->
            compare (-List.length a.l_procs, na) (-List.length b.l_procs, nb))
   in
+  let pins_of l =
+    List.sort_uniq compare (List.map snd l.l_arrival.ar_constraints.Constraints.pins)
+  in
+  (* every lease's pinned processors stay reserved for it: a lease
+     placed earlier must not take them into its own compact region *)
+  let reserved = List.concat_map (fun (_, l) -> pins_of l) leases in
   let taken = ref [] in
   List.fold_left
     (fun acc (name, l) ->
@@ -548,12 +554,15 @@ let repack_candidate t =
         | e :: _ -> Error (name ^ ": constraints: " ^ e)
         | [] -> Ok ()
       in
-      let pinned =
-        List.sort_uniq compare (List.map snd l.l_arrival.ar_constraints.Constraints.pins)
+      let pinned = pins_of l in
+      let* () =
+        match List.find_opt (fun p -> List.mem p !taken) pinned with
+        | Some p -> Error (Printf.sprintf "%s: pinned processor %d is taken" name p)
+        | None -> Ok ()
       in
       let free =
         Topology.alive_procs topo
-        |> List.filter (fun p -> not (List.mem p !taken) && not (List.mem p pinned))
+        |> List.filter (fun p -> not (List.mem p !taken) && not (List.mem p reserved))
       in
       let want = max 1 (List.length l.l_procs - List.length pinned) in
       let* region =

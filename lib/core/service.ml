@@ -139,28 +139,9 @@ let parse_request ~id line =
             | "seed" ->
               let* n = non_negative "seed" in
               Ok (with_options req (fun o -> { o with Ctx.seed = n }))
-            | "routing" -> begin
-              match v with
-              (* "mm" is the historical spelling; keep it as an alias *)
-              | "mm" | "mm-route" ->
-                Ok
-                  (with_options req (fun o -> { o with Ctx.routing = Ctx.Mm_route }))
-              | "oblivious" ->
-                Ok
-                  (with_options req (fun o ->
-                       { o with Ctx.routing = Ctx.Oblivious }))
-              | "coarse" ->
-                Ok
-                  (with_options req (fun o -> { o with Ctx.routing = Ctx.Coarse }))
-              | "auto" ->
-                Ok (with_options req (fun o -> { o with Ctx.routing = Ctx.Auto }))
-              | other ->
-                Error
-                  (Printf.sprintf
-                     "unknown routing %S (valid: mm-route, oblivious, coarse, \
-                      auto)"
-                     other)
-            end
+            | "routing" ->
+              let* routing = Ctx.routing_of_string v in
+              Ok (with_options req (fun o -> { o with Ctx.routing }))
             | "only" ->
               Ok (with_options req (fun o -> { o with Ctx.only = names () }))
             | "exclude" ->

@@ -30,6 +30,16 @@ let pred g v =
   check g v;
   List.rev g.pred.(v)
 
+let rec iter_pairs f = function
+  | [] -> ()
+  | (v, w) :: rest ->
+    f v w;
+    iter_pairs f rest
+
+let iter_succ f g u =
+  check g u;
+  iter_pairs f g.succ.(u)
+
 let out_degree g u =
   check g u;
   List.length g.succ.(u)

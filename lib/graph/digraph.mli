@@ -24,6 +24,10 @@ val succ : t -> int -> (int * int) list
 
 val pred : t -> int -> (int * int) list
 
+val iter_succ : (int -> int -> unit) -> t -> int -> unit
+(** [iter_succ f g u] calls [f v w] for each edge leaving [u], newest
+    first, without building a list. *)
+
 val out_degree : t -> int -> int
 
 val in_degree : t -> int -> int

@@ -69,34 +69,42 @@ let isomorphism a b =
 
 let isomorphic a b = Option.is_some (isomorphism a b)
 
-let isomorphism_distance_pruned a b =
+(* all-pairs hop distances, each node's sorted distance profile, and the
+   sorted multiset of those profiles *)
+let distance_profiles g =
+  let n = Ugraph.node_count g in
+  let d = Array.init n (fun u -> Traverse.bfs_dist g u) in
+  let profiles = Array.init n (fun x -> List.sort compare (Array.to_list d.(x))) in
+  (d, profiles, List.sort compare (Array.to_list profiles))
+
+(* staged on [a]: its profiles are computed on the first comparison that
+   gets past the counts, then shared by every later [b] *)
+let isomorphism_distance_pruned a =
   let n = Ugraph.node_count a in
-  if n <> Ugraph.node_count b || Ugraph.edge_count a <> Ugraph.edge_count b then None
-  else begin
-    let da = Array.init n (fun u -> Traverse.bfs_dist a u) in
-    let db = Array.init n (fun v -> Traverse.bfs_dist b v) in
-    let profile d x = List.sort compare (Array.to_list d.(x)) in
-    let profiles_a = Array.init n (profile da) in
-    let profiles_b = Array.init n (profile db) in
-    (* global invariant: the multiset of distance profiles must agree *)
-    let sorted arr = List.sort compare (Array.to_list arr) in
-    if sorted profiles_a <> sorted profiles_b then None
+  let profiled_a = lazy (distance_profiles a) in
+  fun b ->
+    if n <> Ugraph.node_count b || Ugraph.edge_count a <> Ugraph.edge_count b then None
     else begin
-      let candidates u =
-        List.init n (fun v -> v) |> List.filter (fun v -> profiles_b.(v) = profiles_a.(u))
-      in
-      let consistent mapping u v =
-        let rec ok us =
-          match us with
-          | [] -> true
-          | u' :: rest ->
-            (mapping.(u') = -1 || da.(u).(u') = db.(v).(mapping.(u'))) && ok rest
+      let da, profiles_a, sorted_a = Lazy.force profiled_a in
+      let db, profiles_b, sorted_b = distance_profiles b in
+      (* global invariant: the multiset of distance profiles must agree *)
+      if sorted_a <> sorted_b then None
+      else begin
+        let candidates u =
+          List.init n (fun v -> v) |> List.filter (fun v -> profiles_b.(v) = profiles_a.(u))
         in
-        ok (List.init n (fun i -> i))
-      in
-      search n ~candidates ~consistent ~fixed:None
+        let consistent mapping u v =
+          let rec ok us =
+            match us with
+            | [] -> true
+            | u' :: rest ->
+              (mapping.(u') = -1 || da.(u).(u') = db.(v).(mapping.(u'))) && ok rest
+          in
+          ok (List.init n (fun i -> i))
+        in
+        search n ~candidates ~consistent ~fixed:None
+      end
     end
-  end
 
 let digraph_isomorphism a b =
   let n = Digraph.node_count a in

@@ -17,7 +17,12 @@ val isomorphism_distance_pruned : Ugraph.t -> Ugraph.t -> int array option
     and prunes the backtracking with distance consistency — a partial
     mapping must preserve every pairwise distance, not just adjacency.
     Equivalent result to {!isomorphism}, vastly faster on such
-    graphs. *)
+    graphs.
+
+    Partially apply it to test one graph against several candidates:
+    [a]'s distance profiles are computed once, on the first candidate
+    whose node and edge counts match, and reused for the rest.  The
+    staged function must stay within one domain. *)
 
 val digraph_isomorphism : Digraph.t -> Digraph.t -> int array option
 (** Directed variant; compares aggregated edge weights, so parallel

@@ -81,20 +81,33 @@ let iso_cap = 64
 
 type family_match = { fam_name : string; relabel : int array; fam_dims : int list option }
 
-let unit_edge_set g =
-  Ugraph.edges g |> List.map (fun (u, v, _) -> (u, v)) |> List.sort compare
-
-(* canonical relabeling onto a reference topology: identity when the
-   labelled edge sets already coincide, an isomorphism for graphs small
-   enough to search, None otherwise *)
-let relabel_for g kind =
-  let reference = Topology.graph (Topology.make kind) in
+(* Every edge of [g] is a link of [shape]; with equal edge counts (and
+   no parallel edges on either side) the labelled edge sets coincide. *)
+let identity_labelled g (shape : Topology.shape) =
   let n = Ugraph.node_count g in
-  if n <> Ugraph.node_count reference || Ugraph.edge_count g <> Ugraph.edge_count reference
-  then None
-  else if unit_edge_set g = unit_edge_set reference then Some (Array.init n (fun i -> i))
-  else if n <= iso_cap then Iso.isomorphism_distance_pruned g reference
-  else None
+  let rec from u =
+    u >= n
+    || List.for_all (fun (v, _) -> v < u || shape.Topology.linked u v) (Ugraph.neighbors g u)
+       && from (u + 1)
+  in
+  from 0
+
+(* canonical relabeling onto [kind]'s standard numbering, decided on the
+   closed-form shape: identity when the labelled edge sets already
+   coincide, an isomorphism against a reference graph for graphs small
+   enough to search (and [plausible] against it), None otherwise *)
+let relabel_for g ~iso ?(plausible = fun _ -> true) kind =
+  let n = Ugraph.node_count g in
+  match Topology.shape kind with
+  | None -> None
+  | Some shape ->
+    if n <> shape.Topology.nodes || Ugraph.edge_count g <> shape.Topology.edges then None
+    else if identity_labelled g shape then Some (Array.init n (fun i -> i))
+    else if n <= iso_cap then begin
+      let reference = Topology.graph (Topology.make kind) in
+      if plausible reference then iso reference else None
+    end
+    else None
 
 let path_order g start =
   (* positions along a path/cycle walk beginning at [start], first step
@@ -114,8 +127,7 @@ let path_order g start =
   walk (-1) start 0;
   if Array.exists (( = ) (-1)) pos then None else Some pos
 
-let detect_family_match tg =
-  let g = Taskgraph.static_graph_unit tg in
+let match_family g =
   let n = Ugraph.node_count g in
   let degrees = List.init n (Ugraph.degree g) in
   let is_pow2 v = v > 0 && v land (v - 1) = 0 in
@@ -123,20 +135,24 @@ let detect_family_match tg =
     let rec go v acc = if v <= 1 then acc else go (v / 2) (acc + 1) in
     go v 0
   in
-  let with_relabel fam_name kind fam_dims =
-    Option.map (fun relabel -> { fam_name; relabel; fam_dims }) (relabel_for g kind)
+  (* [g]'s distance profiles are shared by every candidate it is
+     searched against *)
+  let iso = Iso.isomorphism_distance_pruned g in
+  let with_relabel ?plausible fam_name kind fam_dims =
+    Option.map (fun relabel -> { fam_name; relabel; fam_dims }) (relabel_for g ~iso ?plausible kind)
   in
   if n >= 2 && 2 * Ugraph.edge_count g = n * (n - 1) then
     Some { fam_name = "complete"; relabel = Array.init n (fun i -> i); fam_dims = None }
-  else if n >= 3 && Traverse.is_connected g && List.for_all (( = ) 2) degrees then
+  else if n >= 3 && List.for_all (( = ) 2) degrees && Traverse.is_connected g then
     Option.map
       (fun relabel -> { fam_name = "ring"; relabel; fam_dims = None })
       (path_order g 0)
   else if
-    n >= 2 && Traverse.is_connected g
+    n >= 2
     && Ugraph.edge_count g = n - 1
     && List.length (List.filter (( = ) 1) degrees) = 2
     && List.for_all (fun d -> d = 1 || d = 2) degrees
+    && Traverse.is_connected g
   then begin
     let endpoint =
       let rec find v = if Ugraph.degree g v = 1 then v else find (v + 1) in
@@ -147,35 +163,50 @@ let detect_family_match tg =
       (path_order g endpoint)
   end
   else if Treecanon.is_tree g then begin
-    let same kind = Treecanon.isomorphic_trees g (Topology.graph (Topology.make kind)) in
-    if is_pow2 n && same (Topology.Binomial_tree (log2 n)) then
-      with_relabel "binomial" (Topology.Binomial_tree (log2 n)) None
-    else if is_pow2 (n + 1) && n > 1 && same (Topology.Binary_tree (log2 (n + 1) - 1))
-    then with_relabel "bintree" (Topology.Binary_tree (log2 (n + 1) - 1)) None
+    (* a tree is the reference tree or it is not; past the isomorphism
+       cap only an identity labelling can be used anyway *)
+    let tree name kind = with_relabel ~plausible:(Treecanon.isomorphic_trees g) name kind None in
+    if is_pow2 n then tree "binomial" (Topology.Binomial_tree (log2 n))
+    else if is_pow2 (n + 1) && n > 1 then tree "bintree" (Topology.Binary_tree (log2 (n + 1) - 1))
     else None
   end
-  else if is_pow2 n && n >= 4 && List.for_all (( = ) (log2 n)) degrees
-          && Option.is_some (with_relabel "hypercube" (Topology.Hypercube (log2 n)) None)
-  then with_relabel "hypercube" (Topology.Hypercube (log2 n)) None
   else begin
-    (* meshes and tori: try factorizations r x c, r <= c, r >= 2 *)
-    let rec try_grid kind_of name r =
-      if r * r > n then None
-      else if n mod r = 0 && r >= 2 then begin
-        let c = n / r in
-        match with_relabel name (kind_of r c) (Some [ r; c ]) with
-        | Some m -> Some m
-        | None -> try_grid kind_of name (r + 1)
-      end
-      else try_grid kind_of name (r + 1)
-    in
-    match try_grid (fun r c -> Topology.Mesh (r, c)) "mesh" 2 with
-    | Some m -> Some m
-    | None ->
-      if List.for_all (( = ) 4) degrees then
-        try_grid (fun r c -> Topology.Torus (r, c)) "torus" 3
+    let hypercube =
+      if is_pow2 n && n >= 4 && List.for_all (( = ) (log2 n)) degrees then
+        with_relabel "hypercube" (Topology.Hypercube (log2 n)) None
       else None
+    in
+    if Option.is_some hypercube then hypercube
+    else begin
+      (* meshes and tori: try factorizations r x c, r <= c, r >= 2.  A
+         mesh has 2n - r - c links, so at most one factorization gets
+         past the counts; every torus has 2n *)
+      let rec try_grid kind_of name r =
+        if r * r > n then None
+        else if n mod r = 0 && r >= 2 then begin
+          let c = n / r in
+          match with_relabel name (kind_of r c) (Some [ r; c ]) with
+          | Some m -> Some m
+          | None -> try_grid kind_of name (r + 1)
+        end
+        else try_grid kind_of name (r + 1)
+      in
+      match try_grid (fun r c -> Topology.Mesh (r, c)) "mesh" 2 with
+      | Some m -> Some m
+      | None ->
+        if List.for_all (( = ) 4) degrees then
+          try_grid (fun r c -> Topology.Torus (r, c)) "torus" 3
+        else None
+    end
   end
+
+let detect_family_match ?static tg =
+  let g =
+    match static with
+    | Some g when Taskgraph.static_has_unit_edges tg -> g
+    | Some _ | None -> Taskgraph.static_graph_unit tg
+  in
+  match_family g
 
 let detect_family tg = Option.map (fun m -> m.fam_name) (detect_family_match tg)
 
@@ -339,7 +370,7 @@ let affine_analysis (c : Compile.compiled) =
     else Some (List.map Option.get per_phase)
   | [] | _ :: _ :: _ -> None
 
-let analyze (c : Compile.compiled) =
+let analyze ?family (c : Compile.compiled) =
   let tg = c.Compile.graph in
   let kinds = List.map (fun name -> (name, classify_phase tg name)) (Taskgraph.comm_names tg) in
   let all_bijective =
@@ -355,7 +386,10 @@ let analyze (c : Compile.compiled) =
   in
   {
     declared_family = tg.Taskgraph.declared_family;
-    detected_family = detect_family tg;
+    detected_family =
+      (match family with
+      | Some m -> Option.map (fun m -> m.fam_name) m
+      | None -> detect_family tg);
     comm_kinds = kinds;
     all_bijective;
     cayley;

@@ -71,8 +71,6 @@ val syntactic_is_cayley : translations -> bool
     of Z_n) iff [gcd(offsets, n) = 1] — an O(#phases) arithmetic test
     replacing the O(|X|²) closure. *)
 
-val analyze : Compile.compiled -> t
-
 type family_match = {
   fam_name : string;
   relabel : int array;
@@ -82,18 +80,34 @@ type family_match = {
   fam_dims : int list option;  (** mesh/torus factorization found *)
 }
 
+val analyze : ?family:family_match option -> Compile.compiled -> t
+(** [?family] is the program graph's {!detect_family_match}, when the
+    caller already has it; otherwise [analyze] detects the family
+    itself. *)
+
 val detect_family : Oregami_taskgraph.Taskgraph.t -> string option
 (** Structural detection on the static (unit) graph; exact for rings,
-    lines, complete graphs and trees of any size, isomorphism-checked
-    for hypercubes/meshes/tori up to 64 nodes. *)
+    lines, complete graphs and trees of any size, and for
+    identity-numbered hypercubes, meshes and tori of any size;
+    isomorphism-checked for relabelled ones up to 64 nodes. *)
 
-val detect_family_match : Oregami_taskgraph.Taskgraph.t -> family_match option
+val detect_family_match :
+  ?static:Oregami_graph.Ugraph.t -> Oregami_taskgraph.Taskgraph.t -> family_match option
 (** Like {!detect_family} but also produces the canonical relabeling
     (identity when the task numbering already matches the family's
     standard numbering — the common case for naturally written LaRCS
     programs; an isomorphism otherwise).  [None] when no family is
     found {e or} a relabeling cannot be afforded (large irregularly
     numbered graphs), in which case canned mappings must not be
-    used. *)
+    used.
+
+    Candidates are decided on their closed-form node and link counts
+    ({!Oregami_topology.Topology.shape}): a mesh's [2n - r - c] links
+    leave at most one factorization, an identity numbering is checked
+    arithmetically edge by edge, and a reference graph is built only
+    for the isomorphism search.  Pass the task graph's
+    [Taskgraph.static_graph] as [?static] when it is already built: it
+    is used in place of a fresh unit graph whenever the two share their
+    edges ({!Oregami_taskgraph.Taskgraph.static_has_unit_edges}). *)
 
 val pp : Format.formatter -> t -> unit

@@ -18,6 +18,16 @@ module Rng = Oregami_prelude.Rng
 
 type routing = Mm_route | Oblivious | Coarse | Auto
 
+let routing_of_string = function
+  (* "mm" is the historical spelling; keep it as an alias *)
+  | "mm" | "mm-route" -> Ok Mm_route
+  | "oblivious" -> Ok Oblivious
+  | "coarse" -> Ok Coarse
+  | "auto" -> Ok Auto
+  | other ->
+    Error
+      (Printf.sprintf "unknown routing %S (valid: mm-route, oblivious, coarse, auto)" other)
+
 type options = {
   b : int option;
   routing : routing;
@@ -61,6 +71,7 @@ let default_options =
 
 type t = {
   compiled : Compile.compiled option;
+  family : Analyze.family_match option Lazy.t;
   analysis : Analyze.t option Lazy.t;
   tg : Taskgraph.t;
   topo : Topology.t;
@@ -103,13 +114,19 @@ let make ?(options = default_options) ?(faults = Faults.none) ?breaker
            (Array.to_list alive))
     else alive
   in
+  (* one family detection per run, over the static graph the other
+     strategies share, read by the canned strategy and the analysis *)
+  let static = lazy (Taskgraph.static_graph tg) in
+  let family = lazy (Analyze.detect_family_match ~static:(Lazy.force static) tg) in
   {
     compiled;
-    analysis = lazy (Option.map Analyze.analyze compiled);
+    family;
+    analysis =
+      lazy (Option.map (fun c -> Analyze.analyze ~family:(Lazy.force family) c) compiled);
     tg;
     topo;
     dist;
-    static = lazy (Taskgraph.static_graph tg);
+    static;
     rng = Rng.create options.seed;
     options;
     stats;
@@ -129,6 +146,7 @@ let of_taskgraph ?options ?faults ?breaker tg topo =
 
 let degraded ctx = Topology.is_degraded ctx.topo || not (Faults.is_empty ctx.faults)
 
+let family ctx = Lazy.force ctx.family
 let analysis ctx = Lazy.force ctx.analysis
 let static ctx = Lazy.force ctx.static
 

@@ -20,6 +20,11 @@ type routing =
       (** {!Mm_route} up to [multilevel_threshold] tasks, {!Coarse}
           above — the same gate the multilevel tier switches on *)
 
+val routing_of_string : string -> (routing, string) result
+(** The routing names the CLI's [--routing] flag and the request-line
+    [routing=] key accept: ["mm-route"] (alias ["mm"]), ["oblivious"],
+    ["coarse"], ["auto"].  The error lists the valid names. *)
+
 type options = {
   b : int option;  (** load-balance bound B for MWM-Contract *)
   routing : routing;
@@ -69,6 +74,10 @@ val default_options : options
 type t = {
   compiled : Oregami_larcs.Compile.compiled option;
       (** [None] when mapping a bare task graph *)
+  family : Oregami_larcs.Analyze.family_match option Lazy.t;
+      (** [Analyze.detect_family_match] over [static]: the one family
+          detection of the run, shared by the canned strategy and
+          [analysis] *)
   analysis : Oregami_larcs.Analyze.t option Lazy.t;
       (** forced at most once, by the first strategy that needs it *)
   tg : Oregami_taskgraph.Taskgraph.t;
@@ -123,6 +132,9 @@ val of_taskgraph :
 val degraded : t -> bool
 (** Whether the context targets a degraded machine (its topology is a
     degraded view or it carries a non-empty fault set). *)
+
+val family : t -> Oregami_larcs.Analyze.family_match option
+(** Forces the lazy family detection. *)
 
 val analysis : t -> Oregami_larcs.Analyze.t option
 (** Forces the lazy analysis ([None] for bare task graphs). *)

@@ -44,6 +44,91 @@ let tasks_on_proc m =
   done;
   tasks
 
+(* scan [s, stop) for an unclaimed out-edge slot to [d] of volume [w]
+   and claim it *)
+let rec claim_slot dst vol claimed stop d w s =
+  s < stop
+  && ((dst.(s) = d && vol.(s) = w && Bytes.get claimed s = '\000'
+      && begin
+        Bytes.set claimed s '\001';
+        true
+      end)
+     || claim_slot dst vol claimed stop d w (s + 1))
+
+(* the routed edges of one phase are exactly the task graph's edges
+   between distinct tasks, volumes included: each routed edge claims
+   its own identical out-edge slot of its sender, and every slot but a
+   self-loop ends up claimed.  The slots live in flat arrays, so even
+   a phase of thousands of edges is checked without minor-heap garbage
+   for the collector to trace *)
+let routes_every_edge g routed =
+  let n = Digraph.node_count g in
+  let first = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    first.(u + 1) <- first.(u) + Digraph.out_degree g u
+  done;
+  let slots = first.(n) in
+  let dst = Array.make slots 0 and vol = Array.make slots 0 in
+  let next = ref 0 in
+  let record v w =
+    dst.(!next) <- v;
+    vol.(!next) <- w;
+    incr next
+  in
+  for u = 0 to n - 1 do
+    Digraph.iter_succ record g u
+  done;
+  (* self-loops are never routed *)
+  let claimed = Bytes.make slots '\000' in
+  for u = 0 to n - 1 do
+    for s = first.(u) to first.(u + 1) - 1 do
+      if dst.(s) = u then Bytes.set claimed s '\001'
+    done
+  done;
+  List.for_all
+    (fun re ->
+      let u = re.re_src in
+      u >= 0 && u < n
+      && claim_slot dst vol claimed first.(u + 1) re.re_dst re.re_volume first.(u))
+    routed
+  && Bytes.for_all (fun c -> c <> '\000') claimed
+
+let rec ends_at p = function
+  | [ last ] -> last = p
+  | _ :: rest -> ends_at p rest
+  | [] -> false
+
+(* [links] joins consecutive [nodes] link by link; a topology has one
+   link per processor pair, so reading each link's endpoints decides
+   it without building [Topology.links_of_path]'s list *)
+let rec follows topo nodes links =
+  match (nodes, links) with
+  | ([] | [ _ ]), [] -> true
+  | u :: (v :: _ as rest), l :: links ->
+    l >= 0
+    && l < Topology.link_count topo
+    && (let a, b = Topology.link_endpoints topo l in
+        (a = u && b = v) || (a = v && b = u))
+    && follows topo rest links
+  | _ -> false
+
+(* why one routed edge's route disagrees with the placement, if it
+   does *)
+let route_error m re =
+  let pu = proc_of_task m re.re_src and pv = proc_of_task m re.re_dst in
+  let { Routes.nodes; links } = re.re_route in
+  if pu = pv then
+    match links with
+    | [] -> None
+    | _ :: _ -> Some "co-located edge has a non-empty route"
+  else
+    match nodes with
+    | first :: _ when first = pu ->
+      if not (ends_at pv nodes) then Some "route does not end at the receiver's processor"
+      else if follows m.topo nodes links then None
+      else Some "route links do not match route nodes"
+    | _ -> Some "route does not start at the sender's processor"
+
 let validate ?constraints m =
   let n = m.tg.Taskgraph.n in
   let k = cluster_count m in
@@ -106,48 +191,15 @@ let validate ?constraints m =
       match List.find_opt (fun pr -> pr.pr_phase = cp.Taskgraph.cp_name) m.routings with
       | None -> Error (Printf.sprintf "phase %S has no routing" cp.Taskgraph.cp_name)
       | Some pr ->
-        let wanted =
-          Digraph.edges cp.Taskgraph.edges
-          |> List.filter (fun (u, v, _) -> u <> v)
-          |> List.map (fun (u, v, w) -> (u, v, w))
-          |> List.sort compare
-        in
-        let got =
-          List.map (fun re -> (re.re_src, re.re_dst, re.re_volume)) pr.pr_edges
-          |> List.sort compare
-        in
-        let* () =
-          if wanted = got then Ok ()
-          else
-            Error
-              (Printf.sprintf "phase %S: routed edge set differs from task graph"
-                 cp.Taskgraph.cp_name)
-        in
-        List.fold_left
-          (fun acc re ->
-            let* () = acc in
-            let pu = proc_of_task m re.re_src and pv = proc_of_task m re.re_dst in
-            let nodes = re.re_route.Routes.nodes in
-            if pu = pv then
-              if re.re_route.Routes.links = [] then Ok ()
-              else Error "co-located edge has a non-empty route"
-            else begin
-              let* () =
-                match nodes with
-                | first :: _ when first = pu -> Ok ()
-                | _ -> Error "route does not start at the sender's processor"
-              in
-              let* () =
-                match List.rev nodes with
-                | last :: _ when last = pv -> Ok ()
-                | _ -> Error "route does not end at the receiver's processor"
-              in
-              (* links consistent with node path *)
-              let links = Topology.links_of_path m.topo nodes in
-              if links = re.re_route.Routes.links then Ok ()
-              else Error "route links do not match route nodes"
-            end)
-          (Ok ()) pr.pr_edges)
+        if not (routes_every_edge cp.Taskgraph.edges pr.pr_edges) then
+          Error
+            (Printf.sprintf "phase %S: routed edge set differs from task graph"
+               cp.Taskgraph.cp_name)
+        else begin
+          match List.find_map (route_error m) pr.pr_edges with
+          | None -> Ok ()
+          | Some e -> Error e
+        end)
     (Ok ()) m.tg.Taskgraph.comm_phases
 
 let dilation_stats m =

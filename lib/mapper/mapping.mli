@@ -36,9 +36,11 @@ val tasks_on_proc : t -> int list array
 
 val validate : ?constraints:Constraints.t -> t -> (unit, string) result
 (** Structural checks: cluster ids dense, embedding injective and in
-    range, every cross-processor communication edge routed with a path
-    that starts at the sender's processor and ends at the receiver's,
-    every co-located edge routed with the empty path.  When
+    range, every task-graph edge between distinct tasks routed exactly
+    once with its volume, every cross-processor edge routed with a path
+    that starts at the sender's processor, ends at the receiver's and
+    names the link between each pair of consecutive processors, every
+    co-located edge routed with the empty path.  When
     [constraints] is supplied the {!Constraints.drc} pass runs too and
     the first violation is reported by name. *)
 

@@ -100,7 +100,7 @@ let canned_produce ctx =
     (* a declared family asserts the natural numbering *)
     attempt family (Ctx.mesh_dims ctx) None
   | None -> begin
-    match Analyze.detect_family_match tg with
+    match Ctx.family ctx with
     | Some m ->
       let dims =
         match m.Analyze.fam_dims with Some _ as d -> d | None -> Ctx.mesh_dims ctx

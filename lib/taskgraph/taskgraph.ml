@@ -117,6 +117,9 @@ let static_graph tg = static_graph_scaled (fun cp -> Phase_expr.count_comm tg.ex
 
 let static_graph_unit tg = static_graph_scaled (fun _ -> 1) tg
 
+let static_has_unit_edges tg =
+  List.for_all (fun cp -> Phase_expr.count_comm tg.expr cp.cp_name > 0) tg.comm_phases
+
 let phase_volume tg name =
   match comm_phase tg name with
   | Some cp -> Digraph.total_weight cp.edges

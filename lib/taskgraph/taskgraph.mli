@@ -84,6 +84,12 @@ val static_graph_unit : t -> Oregami_graph.Ugraph.t
 (** Like {!static_graph} but each phase counted once — the topology of
     communication, with raw volumes. *)
 
+val static_has_unit_edges : t -> bool
+(** Whether {!static_graph} has the same edges as {!static_graph_unit},
+    differing only in weights: true unless some communication phase
+    never runs in the phase expression (its edges are then missing from
+    {!static_graph}). *)
+
 val total_volume : t -> int
 (** Total message volume over the full trace. *)
 

@@ -232,6 +232,47 @@ let make kind =
   let graph = build_graph kind in
   of_graph kind graph (Array.make (Ugraph.node_count graph) false) 0
 
+type shape = { nodes : int; edges : int; linked : int -> int -> bool }
+
+(* the closed forms of [build_graph]'s loops above; the property test in
+   test_topology.ml holds them to [make] *)
+let shape kind =
+  let mesh_links r c = (r * (c - 1)) + (c * (r - 1)) in
+  let mesh_linked c u v = (v = u + 1 && v mod c <> 0) || v = u + c in
+  match kind with
+  | Mesh (r, c) -> Some { nodes = r * c; edges = mesh_links r c; linked = mesh_linked c }
+  | Torus (r, c) ->
+    (* wraparound only where it is not already a mesh link *)
+    let row_wrap = c > 2 and col_wrap = r > 2 in
+    Some
+      {
+        nodes = r * c;
+        edges =
+          mesh_links r c + (if row_wrap then r else 0) + if col_wrap then c else 0;
+        linked =
+          (fun u v ->
+            mesh_linked c u v
+            || (row_wrap && u mod c = 0 && v = u + c - 1)
+            || (col_wrap && v = u + ((r - 1) * c)));
+      }
+  | Hypercube d ->
+    let n = 1 lsl d in
+    Some
+      {
+        nodes = n;
+        edges = d * n / 2;
+        linked = (fun u v -> let x = u lxor v in x land (x - 1) = 0);
+      }
+  | Binary_tree d ->
+    let n = (1 lsl (d + 1)) - 1 in
+    Some { nodes = n; edges = n - 1; linked = (fun u v -> (v - 1) / 2 = u) }
+  | Binomial_tree k ->
+    let n = 1 lsl k in
+    Some { nodes = n; edges = n - 1; linked = (fun u v -> v land (v - 1) = u) }
+  | Line _ | Ring _ | Complete _ | Butterfly _ | Cube_connected_cycles _ | Hex_mesh _
+  | Star_graph _ | De_bruijn _ | Shuffle_exchange _ ->
+    None
+
 let get_cache t = Atomic.get t.cache
 
 let set_cache t c = Atomic.set t.cache (Some c)

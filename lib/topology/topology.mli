@@ -30,6 +30,20 @@ type t
 
 val make : kind -> t
 
+type shape = {
+  nodes : int;  (** [node_count (make kind)] *)
+  edges : int;  (** [link_count (make kind)] *)
+  linked : int -> int -> bool;
+      (** [linked u v], for [0 <= u < v < nodes], is whether [make kind]
+          links [u] and [v] in its standard numbering *)
+}
+
+val shape : kind -> shape option
+(** The closed-form structure of [make kind], computed without building
+    it: [Some] for meshes, tori, hypercubes and binary and binomial
+    trees, [None] for the other kinds.  Family detection decides on it
+    instead of materialising a reference topology per candidate. *)
+
 val kind : t -> kind
 (** The kind the topology was built from.  A {!degrade}d topology keeps
     its base kind for reporting and geometry ({!layout}, {!mesh_coords})

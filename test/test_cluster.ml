@@ -160,101 +160,114 @@ let test_run_with_chaos_schedule () =
    placement constraints never violates them — every lease holds a
    validated routed mapping on alive in-region processors respecting
    pins and forbids, and every non-admission is a named refusal *)
+let chaos_respects_constraints seed =
+  let rng = Prelude.Rng.create seed in
+  let machine = topo "torus:4x4" in
+  let nprocs = Topology.node_count machine in
+  let t =
+    match Cluster.create machine with
+    | Ok t -> t
+    | Error e -> QCheck.Test.fail_reportf "create: %s" e
+  in
+  (* jobs with real constraints: a pin anchoring task 0 and a
+     forbid keeping task 1 off a (different) processor *)
+  let specs = Hashtbl.create 8 in
+  let mk_arrival i =
+    let name = Printf.sprintf "job%d" i in
+    let pin_proc = Prelude.Rng.int rng nprocs in
+    let forbid_proc = (pin_proc + 1 + Prelude.Rng.int rng (nprocs - 1)) mod nprocs in
+    let spec =
+      {
+        Mapper.Constraints.none with
+        Mapper.Constraints.pins = [ (0, pin_proc) ];
+        forbids = [ (1, forbid_proc) ];
+      }
+    in
+    Hashtbl.replace specs name spec;
+    arrive ~procs:(2 + Prelude.Rng.int rng 4) ~constraints:spec name
+      (Printf.sprintf "synth:%s:%d:%d"
+         [| "grid"; "ring"; "tree" |].(Prelude.Rng.int rng 3)
+         (6 + Prelude.Rng.int rng 15)
+         (1 + Prelude.Rng.int rng 99))
+  in
+  let job = ref 0 and live = ref [] in
+  for _ = 1 to 30 do
+    let ev =
+      match Prelude.Rng.int rng 10 with
+      | 0 | 1 ->
+        (* chaos: kill or revive a random processor *)
+        let p = Prelude.Rng.int rng nprocs in
+        if Prelude.Rng.bool rng then Cluster.Kill { procs = [ p ]; links = [] }
+        else Cluster.Revive { procs = [ p ]; links = [] }
+      | 2 | 3 when !live <> [] ->
+        let name = Prelude.Rng.pick rng (Array.of_list !live) in
+        live := List.filter (fun n -> n <> name) !live;
+        Cluster.Depart name
+      | _ ->
+        incr job;
+        live := Printf.sprintf "job%d" !job :: !live;
+        mk_arrival !job
+    in
+    Cluster.step t ev;
+    (match Cluster.invariants t with
+    | Ok () -> ()
+    | Error e ->
+      QCheck.Test.fail_reportf "invariants after %S: %s"
+        (Cluster.describe_event ev) e);
+    (* every lease honours its own constraint spec on the live view *)
+    List.iter
+      (fun name ->
+        match Cluster.lease_assignment t name with
+        | None -> () (* queued, refused or departed: fine *)
+        | Some (tg, topo_now, assignment) ->
+          let spec = Hashtbl.find specs name in
+          Array.iteri
+            (fun task p ->
+              if not (Topology.alive topo_now p) then
+                QCheck.Test.fail_reportf "%s task %d on dead proc %d" name
+                  task p;
+              List.iter
+                (fun (tk, pr) ->
+                  if task = tk && p <> pr then
+                    QCheck.Test.fail_reportf "%s pin %d:%d violated (on %d)"
+                      name tk pr p)
+                spec.Mapper.Constraints.pins;
+              List.iter
+                (fun (tk, pr) ->
+                  if task = tk && p = pr then
+                    QCheck.Test.fail_reportf "%s forbid %d:%d violated" name
+                      tk pr)
+                spec.Mapper.Constraints.forbids)
+            assignment;
+          ignore tg)
+      !live
+  done;
+  (* wrap-up accounts for every job by name *)
+  let r = Cluster.finish t in
+  let accounted =
+    r.Cluster.rp_admitted + r.Cluster.rp_cancelled
+    + List.length r.Cluster.rp_refused
+    + List.length r.Cluster.rp_shed
+  in
+  if accounted < !job then
+    QCheck.Test.fail_reportf "%d jobs, only %d accounted for" !job accounted;
+  true
+
 let prop_chaos_repair_respects_constraints =
   QCheck.Test.make ~name:"chaos healing respects constraints" ~count:25
     QCheck.(int_bound 1_000_000)
+    chaos_respects_constraints
+
+(* seeds whose traces once made a defragmenting re-pack hand one
+   lease's pinned processor to a lease placed before it *)
+let test_repack_keeps_pins () =
+  List.iter
     (fun seed ->
-      let rng = Prelude.Rng.create seed in
-      let machine = topo "torus:4x4" in
-      let nprocs = Topology.node_count machine in
-      let t =
-        match Cluster.create machine with
-        | Ok t -> t
-        | Error e -> QCheck.Test.fail_reportf "create: %s" e
-      in
-      (* jobs with real constraints: a pin anchoring task 0 and a
-         forbid keeping task 1 off a (different) processor *)
-      let specs = Hashtbl.create 8 in
-      let mk_arrival i =
-        let name = Printf.sprintf "job%d" i in
-        let pin_proc = Prelude.Rng.int rng nprocs in
-        let forbid_proc = (pin_proc + 1 + Prelude.Rng.int rng (nprocs - 1)) mod nprocs in
-        let spec =
-          {
-            Mapper.Constraints.none with
-            Mapper.Constraints.pins = [ (0, pin_proc) ];
-            forbids = [ (1, forbid_proc) ];
-          }
-        in
-        Hashtbl.replace specs name spec;
-        arrive ~procs:(2 + Prelude.Rng.int rng 4) ~constraints:spec name
-          (Printf.sprintf "synth:%s:%d:%d"
-             [| "grid"; "ring"; "tree" |].(Prelude.Rng.int rng 3)
-             (6 + Prelude.Rng.int rng 15)
-             (1 + Prelude.Rng.int rng 99))
-      in
-      let job = ref 0 and live = ref [] in
-      for _ = 1 to 30 do
-        let ev =
-          match Prelude.Rng.int rng 10 with
-          | 0 | 1 ->
-            (* chaos: kill or revive a random processor *)
-            let p = Prelude.Rng.int rng nprocs in
-            if Prelude.Rng.bool rng then Cluster.Kill { procs = [ p ]; links = [] }
-            else Cluster.Revive { procs = [ p ]; links = [] }
-          | 2 | 3 when !live <> [] ->
-            let name = Prelude.Rng.pick rng (Array.of_list !live) in
-            live := List.filter (fun n -> n <> name) !live;
-            Cluster.Depart name
-          | _ ->
-            incr job;
-            live := Printf.sprintf "job%d" !job :: !live;
-            mk_arrival !job
-        in
-        Cluster.step t ev;
-        (match Cluster.invariants t with
-        | Ok () -> ()
-        | Error e ->
-          QCheck.Test.fail_reportf "invariants after %S: %s"
-            (Cluster.describe_event ev) e);
-        (* every lease honours its own constraint spec on the live view *)
-        List.iter
-          (fun name ->
-            match Cluster.lease_assignment t name with
-            | None -> () (* queued, refused or departed: fine *)
-            | Some (tg, topo_now, assignment) ->
-              let spec = Hashtbl.find specs name in
-              Array.iteri
-                (fun task p ->
-                  if not (Topology.alive topo_now p) then
-                    QCheck.Test.fail_reportf "%s task %d on dead proc %d" name
-                      task p;
-                  List.iter
-                    (fun (tk, pr) ->
-                      if task = tk && p <> pr then
-                        QCheck.Test.fail_reportf "%s pin %d:%d violated (on %d)"
-                          name tk pr p)
-                    spec.Mapper.Constraints.pins;
-                  List.iter
-                    (fun (tk, pr) ->
-                      if task = tk && p = pr then
-                        QCheck.Test.fail_reportf "%s forbid %d:%d violated" name
-                          tk pr)
-                    spec.Mapper.Constraints.forbids)
-                assignment;
-              ignore tg)
-          !live
-      done;
-      (* wrap-up accounts for every job by name *)
-      let r = Cluster.finish t in
-      let accounted =
-        r.Cluster.rp_admitted + r.Cluster.rp_cancelled
-        + List.length r.Cluster.rp_refused
-        + List.length r.Cluster.rp_shed
-      in
-      if accounted < !job then
-        QCheck.Test.fail_reportf "%d jobs, only %d accounted for" !job accounted;
-      true)
+      QCheck.Test.check_exn
+        (QCheck.Test.make ~name:(Printf.sprintf "seed %d" seed) ~count:1
+           (QCheck.make (QCheck.Gen.return seed))
+           chaos_respects_constraints))
+    [ 461699; 26283 ]
 
 let () =
   Alcotest.run "cluster"
@@ -271,6 +284,7 @@ let () =
           Alcotest.test_case "disconnecting kill refused" `Quick test_chaos_refused;
           Alcotest.test_case "run with schedule" `Quick test_run_with_chaos_schedule;
           QCheck_alcotest.to_alcotest prop_chaos_repair_respects_constraints;
+          Alcotest.test_case "repack keeps pins reserved" `Quick test_repack_keeps_pins;
         ] );
       ( "parsing",
         [ Alcotest.test_case "chaos and trace grammar" `Quick test_parsers ] );

@@ -370,6 +370,39 @@ let test_mm_route_valid () =
   | Error e -> Alcotest.failf "invalid mapping: %s" e);
   Alcotest.(check int) "stats cover both phases" 2 (List.length stats.Route.phases)
 
+(* the routed edges of each phase must be the task graph's edges
+   exactly: one dropped, one routed twice, or one with the wrong
+   volume is refused *)
+let test_validate_edge_set () =
+  let tg, topo, cluster_of, proc_of_cluster = nbody15_mapping () in
+  let proc_of_task = Array.init 15 (fun t -> proc_of_cluster.(cluster_of.(t))) in
+  let routings, _ = Route.mm_route tg topo ~proc_of_task in
+  let edit f =
+    let routings =
+      match routings with
+      | pr :: rest -> { pr with Mapping.pr_edges = f pr.Mapping.pr_edges } :: rest
+      | [] -> Alcotest.fail "no phases routed"
+    in
+    Mapping.validate
+      { Mapping.tg; topo; cluster_of; proc_of_cluster; routings; strategy = "test" }
+  in
+  let refused what f =
+    match edit f with
+    | Error e ->
+      Alcotest.(check bool) (what ^ ": " ^ e) true
+        (String.length e >= 5 && String.sub e 0 5 = "phase")
+    | Ok () -> Alcotest.failf "%s: accepted" what
+  in
+  Alcotest.(check bool) "untouched validates" true (edit Fun.id = Ok ());
+  refused "dropped edge" List.tl;
+  refused "edge routed twice" (fun es -> List.hd es :: es);
+  refused "wrong volume" (function
+    | re :: rest -> { re with Mapping.re_volume = re.Mapping.re_volume + 1 } :: rest
+    | [] -> []);
+  refused "edge swapped for a self-loop" (function
+    | re :: rest -> { re with Mapping.re_dst = re.Mapping.re_src } :: rest
+    | [] -> [])
+
 let phase_max_contention topo routings phase =
   let counts = Array.make (Topology.link_count topo) 0 in
   let pr = List.find (fun pr -> pr.Mapping.pr_phase = phase) routings in
@@ -546,6 +579,7 @@ let () =
             test_mm_route_spreads_chordal;
           Alcotest.test_case "co-located edges are local" `Quick test_mm_route_colocated_empty;
           Alcotest.test_case "valid on irregular topologies" `Quick test_mm_route_all_topologies;
+          Alcotest.test_case "validate checks the edge set" `Quick test_validate_edge_set;
         ] );
       ( "stone",
         [

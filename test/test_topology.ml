@@ -331,6 +331,44 @@ let qcheck_nonadjacent_no_link =
       let adjacent = u <> v && Ugraph.mem_edge (Topology.graph topo) u v in
       adjacent = Option.is_some (Topology.link_between topo u v))
 
+(* Topology.shape is the closed form of make: same node and link
+   counts, same adjacency, checked on every small size -- including
+   r = 2 and c = 2, where a torus gets no wraparound in that dimension *)
+let test_shape_closed_form () =
+  let upto k = List.init k (fun i -> i + 1) in
+  let grids f = List.concat_map (fun r -> List.map (fun c -> f (r, c)) (upto 7)) (upto 7) in
+  let kinds =
+    grids (fun (r, c) -> Topology.Mesh (r, c))
+    @ grids (fun (r, c) -> Topology.Torus (r, c))
+    @ List.init 8 (fun d -> Topology.Hypercube d)
+    @ List.init 7 (fun d -> Topology.Binary_tree d)
+    @ List.init 8 (fun k -> Topology.Binomial_tree k)
+  in
+  List.iter
+    (fun kind ->
+      let topo = t kind in
+      let name = Topology.name topo in
+      match Topology.shape kind with
+      | None -> Alcotest.failf "%s: no closed-form shape" name
+      | Some shape ->
+        Alcotest.(check int) (name ^ " nodes") (Topology.node_count topo) shape.Topology.nodes;
+        Alcotest.(check int) (name ^ " links") (Topology.link_count topo) shape.Topology.edges;
+        Alcotest.(check int)
+          (name ^ " graph edges")
+          (Ugraph.edge_count (Topology.graph topo))
+          shape.Topology.edges;
+        for u = 0 to shape.Topology.nodes - 1 do
+          for v = u + 1 to shape.Topology.nodes - 1 do
+            if shape.Topology.linked u v <> Option.is_some (Topology.link_between topo u v) then
+              Alcotest.failf "%s: linked %d %d disagrees with make" name u v
+          done
+        done)
+    kinds;
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) "no shape" true (Option.is_none (Topology.shape kind)))
+    [ Topology.Ring 8; Topology.Line 5; Topology.Complete 4; Topology.Butterfly 2 ]
+
 let () =
   Alcotest.run "topology"
     [
@@ -359,5 +397,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_link_table;
           QCheck_alcotest.to_alcotest qcheck_links_of_path;
           QCheck_alcotest.to_alcotest qcheck_nonadjacent_no_link;
+          Alcotest.test_case "closed-form shape matches make" `Quick test_shape_closed_form;
         ] );
     ]
