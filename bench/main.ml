@@ -25,12 +25,11 @@ module Analyze = Larcs.Analyze
 
 let topo s = Topology.make (Result.get_ok (Topology.parse s))
 
-let mapping_with_placement tg topology strategy cluster_of proc_of_cluster =
-  let proc_of_task =
-    Array.init tg.Taskgraph.n (fun t -> proc_of_cluster.(cluster_of.(t)))
-  in
-  let routings, _ = Route.mm_route tg topology ~proc_of_task in
-  { Mapping.tg; topo = topology; cluster_of; proc_of_cluster; routings; strategy }
+(* a baseline placement, routed and validated like every mapping *)
+let mapping_with_placement tg topology strategy clustering =
+  match Mapper.Pipeline.route (Ctx.of_taskgraph tg topology) strategy clustering with
+  | Ok m -> m
+  | Error e -> failwith (Printf.sprintf "%s on %s: %s" strategy (Topology.name topology) e)
 
 let map_spec ?options spec topo_s =
   let compiled = Workloads.compile_exn spec in
@@ -431,9 +430,7 @@ let e8_end_to_end () =
           let m = map_spec spec topo_s in
           let tg = m.Mapping.tg in
           let procs = Topology.node_count m.Mapping.topo in
-          let baseline name (cluster_of, proc_of_cluster) =
-            mapping_with_placement tg m.Mapping.topo name cluster_of proc_of_cluster
-          in
+          let baseline name = mapping_with_placement tg m.Mapping.topo name in
           let random_m = baseline "random" (Baselines.random rng ~n:tg.Taskgraph.n ~procs) in
           let block_m = baseline "block" (Baselines.block ~n:tg.Taskgraph.n ~procs) in
           let ms x = (Netsim.run x).Netsim.makespan in
@@ -811,7 +808,7 @@ let extension_spawning () =
            Mapper.Incremental.place static_graph ~activation:c.Compile.activation ~cap t
          in
          let m_static = Result.get_ok (Driver.map_compiled c t) in
-         let m_inc = mapping_with_placement tg t "incremental" inc (Array.init procs (fun p -> p)) in
+         let m_inc = mapping_with_placement tg t "incremental" (Mapping.clusters inc) in
          let a = (Netsim.run m_static).Netsim.makespan in
          let b = (Netsim.run m_inc).Netsim.makespan in
          [
@@ -839,8 +836,10 @@ let ablation_switching () =
          let m = map_spec spec topo_s in
          let tg = m.Mapping.tg in
          let procs = Topology.node_count m.Mapping.topo in
-         let rc, rp = Baselines.random rng ~n:tg.Taskgraph.n ~procs in
-         let random_m = mapping_with_placement tg m.Mapping.topo "random" rc rp in
+         let random_m =
+           mapping_with_placement tg m.Mapping.topo "random"
+             (Baselines.random rng ~n:tg.Taskgraph.n ~procs)
+         in
          let ms params x = (Netsim.run ~params x).Netsim.makespan in
          [
            spec.Workloads.w_name; topo_s;
@@ -1206,13 +1205,14 @@ let e16_fault_recovery () =
           | Error e ->
             Printf.printf "  (%s, %d faults: %s)\n" topo_s n_faults e
           | Ok r ->
+            let rp = r.Remap.rc_repair_bill and rm = r.Remap.rc_remap_bill in
             rows :=
               [
                 Printf.sprintf "%s %s" spec.Workloads.w_name topo_s;
                 Faults.describe faults;
-                Printf.sprintf "%d/%d" (Repair.moved r.Remap.rc_repair) r.Remap.rc_remap_moved;
-                Printf.sprintf "%d/%d" r.Remap.rc_repair_migration r.Remap.rc_remap_migration;
-                Printf.sprintf "%d/%d" r.Remap.rc_repair_makespan r.Remap.rc_remap_makespan;
+                Printf.sprintf "%d/%d" rp.Remap.b_moved rm.Remap.b_moved;
+                Printf.sprintf "%d/%d" rp.Remap.b_migration rm.Remap.b_migration;
+                Printf.sprintf "%d/%d" rp.Remap.b_makespan rm.Remap.b_makespan;
                 (if r.Remap.rc_repair_wins then "repair" else "remap");
               ]
               :: !rows)
@@ -2112,6 +2112,34 @@ let smoke () =
        Printf.printf "fault smoke: killed proc 5 on hypercube(3), evacuated %d task(s)\n"
          (Repair.moved r)
    end);
+  (* the same one-kill repair above the multilevel threshold routes
+     coarse under auto, as the mapping itself does *)
+  (let base = topo "torus:8x8" in
+   let tg = Synth.generate Synth.Grid ~n:4096 ~seed:1 in
+   let r =
+     match Driver.map_taskgraph tg base with
+     | Error e -> failwith ("smoke: 4096-task mapping failed: " ^ e)
+     | Ok m -> (
+       match
+         Result.bind
+           (Result.bind (Faults.make ~procs:[ 9 ] base) (Faults.degrade base))
+           (fun view -> Repair.repair m view.Faults.topo)
+       with
+       | Ok r -> r
+       | Error e -> failwith ("smoke: 4096-task repair failed: " ^ e))
+   in
+   let repaired = r.Repair.rp_mapping in
+   (match Mapping.validate repaired with
+   | Ok () -> ()
+   | Error e -> failwith ("smoke: repaired 4096-task mapping invalid: " ^ e));
+   let coarse, _ =
+     Route.coarse_route tg repaired.Mapping.topo ~proc_of_task:(Mapping.assignment repaired)
+   in
+   if repaired.Mapping.routings <> coarse then
+     failwith "smoke: 4096-task repair did not route coarse";
+   Printf.printf
+     "fault smoke: killed proc 9 on torus(8x8) under grid(4096), evacuated %d task(s), coarse routes\n"
+     (Repair.moved r));
   (* anytime contract: a tiny fuel budget still yields a valid mapping,
      tagged as degraded *)
   (let compiled = Workloads.compile_exn (Workloads.nbody ~n:16 ~s:2) in

@@ -129,10 +129,7 @@ let load ~input ~params =
     match read_source input with Ok v -> v | Error m -> die ~code:2 m
   in
   let bindings = or_die (collect_bindings params) in
-  let bindings =
-    bindings @ List.filter (fun (k, _) -> not (List.mem_assoc k bindings)) default_bindings
-  in
-  (source, bindings)
+  (source, Service.merge_bindings bindings ~defaults:default_bindings)
 
 let compile ~input ~params =
   let source, bindings = load ~input ~params in
@@ -521,15 +518,15 @@ let repair_cmd =
         ];
         [
           "minimum-disruption repair";
-          string_of_int (Repair.moved r.Remap.rc_repair);
-          string_of_int r.Remap.rc_repair_migration;
-          string_of_int r.Remap.rc_repair_makespan;
+          string_of_int r.Remap.rc_repair_bill.Remap.b_moved;
+          string_of_int r.Remap.rc_repair_bill.Remap.b_migration;
+          string_of_int r.Remap.rc_repair_bill.Remap.b_makespan;
         ];
         [
           Printf.sprintf "from-scratch remap (%s)" r.Remap.rc_remap.Mapping.strategy;
-          string_of_int r.Remap.rc_remap_moved;
-          string_of_int r.Remap.rc_remap_migration;
-          string_of_int r.Remap.rc_remap_makespan;
+          string_of_int r.Remap.rc_remap_bill.Remap.b_moved;
+          string_of_int r.Remap.rc_remap_bill.Remap.b_migration;
+          string_of_int r.Remap.rc_remap_bill.Remap.b_makespan;
         ];
       ];
     Printf.printf "\n%s\n"
@@ -829,22 +826,10 @@ let cluster_cmd =
   let run topo trace chaos explain queue_bound max_retries defrag =
     let machine = target_topology topo in
     let events =
-      if String.length trace >= 6 && String.sub trace 0 6 = "synth:" then begin
-        let rest = String.sub trace 6 (String.length trace - 6) in
-        match String.split_on_char ':' rest with
-        | [ n ] | [ n; "" ] -> begin
-          match int_of_string_opt n with
-          | Some n when n > 0 -> Cluster.synth_trace ~events:n ~seed:1 machine
-          | _ -> die ~code:2 (Printf.sprintf "bad synth trace %S" trace)
-        end
-        | [ n; seed ] -> begin
-          match (int_of_string_opt n, int_of_string_opt seed) with
-          | Some n, Some seed when n > 0 ->
-            Cluster.synth_trace ~events:n ~seed machine
-          | _ -> die ~code:2 (Printf.sprintf "bad synth trace %S" trace)
-        end
-        | _ -> die ~code:2 (Printf.sprintf "bad synth trace %S (want synth:EVENTS[:SEED])" trace)
-      end
+      if Cluster.is_synth_trace trace then
+        match Cluster.parse_synth_trace trace with
+        | Ok (events, seed) -> Cluster.synth_trace ~events ~seed machine
+        | Error e -> die ~code:2 e
       else or_die (Cluster.load_trace trace)
     in
     let chaos = match chaos with None -> [] | Some s -> or_die (Cluster.parse_chaos s) in

@@ -3,10 +3,11 @@ module Faults = Oregami_topology.Faults
 module Taskgraph = Oregami_taskgraph.Taskgraph
 module Ugraph = Oregami_graph.Ugraph
 module Constraints = Oregami_mapper.Constraints
+module Ctx = Oregami_mapper.Ctx
 module Incremental = Oregami_mapper.Incremental
 module Repair = Oregami_mapper.Repair
 module Mapping = Oregami_mapper.Mapping
-module Route = Oregami_mapper.Route
+module Pipeline = Oregami_mapper.Pipeline
 module Netsim = Oregami_metrics.Netsim
 module Synth = Oregami_workloads.Synth
 module Compile = Oregami_larcs.Compile
@@ -221,10 +222,28 @@ let free_components topo free =
     (fun p -> if Hashtbl.mem seen p then None else Some (component p))
     free
 
+(* best fit out of [free], which holds at least [want] processors: the
+   smallest connected free block that fits (keeping big blocks for big
+   jobs), else blocks spanned largest-first.  The region and how many
+   blocks it spans. *)
+let choose_region topo free want =
+  let comps = free_components topo free in
+  let size = List.length in
+  match
+    List.sort (fun a b -> compare (size a) (size b)) comps
+    |> List.find_opt (fun c -> size c >= want)
+  with
+  | Some best -> (List.filteri (fun i _ -> i < want) best, 1)
+  | None ->
+    let rec take acc spans = function
+      | _ when size acc >= want -> (List.filteri (fun i _ -> i < want) acc, spans)
+      | [] -> (acc, spans)
+      | c :: rest -> take (acc @ c) (spans + 1) rest
+    in
+    take [] 0 (List.sort (fun a b -> compare (size b) (size a)) comps)
+
 (* [allocate t ~exclude want] picks [want] processors from the free
-   pool (minus [exclude]): the smallest connected free block that fits
-   (best-fit, to keep big blocks for big jobs), else spanning blocks
-   largest-first.  Returns the region and how many blocks it spans. *)
+   pool (minus [exclude]) with [choose_region] *)
 let allocate t ~exclude want =
   let free = List.filter (fun p -> not (List.mem p exclude)) (free_procs t) in
   if List.length free < want then
@@ -232,74 +251,39 @@ let allocate t ~exclude want =
       (Printf.sprintf "%d free processor%s, need %d" (List.length free)
          (if List.length free = 1 then "" else "s")
          want)
-  else begin
-    let comps = free_components t.view.Faults.topo free in
-    let fitting = List.filter (fun c -> List.length c >= want) comps in
-    match List.sort (fun a b -> compare (List.length a) (List.length b)) fitting with
-    | best :: _ -> Ok (List.filteri (fun i _ -> i < want) best, 1)
-    | [] ->
-      (* no single block fits: span blocks, largest first *)
-      let rec take acc spans = function
-        | _ when List.length acc >= want -> (List.filteri (fun i _ -> i < want) acc, spans)
-        | [] -> (acc, spans)
-        | c :: rest -> take (acc @ c) (spans + 1) rest
-      in
-      let region, spans =
-        take [] 0
-          (List.sort (fun a b -> compare (List.length b) (List.length a)) comps)
-      in
-      Ok (region, spans)
-  end
+  else Ok (choose_region t.view.Faults.topo free want)
 
 (* ------------------------------------------------------------------ *)
 (* placement *)
 
-let build_mapping t tg activation region cons =
-  let topo = t.view.Faults.topo in
+(* a lease's mapping context on the current machine view: its
+   constraints compiled once, the cluster's route cap, default routing
+   (MM-Route at lease sizes, coarse above the multilevel threshold) *)
+let lease_options t spec =
+  { Ctx.default_options with Ctx.route_cap = t.cfg.cf_route_cap; Ctx.constraints = spec }
+
+let lease_ctx t spec tg =
+  let ctx = Ctx.of_taskgraph ~options:(lease_options t spec) tg t.view.Faults.topo in
+  match Constraints.errors ctx.Ctx.constraints with
+  | e :: _ -> Error ("constraints: " ^ e)
+  | [] -> Ok ctx
+
+let build_mapping ctx activation region =
+  let topo = ctx.Ctx.topo in
   let in_region = Array.make (Topology.node_count topo) false in
   List.iter (fun p -> in_region.(p) <- true) region;
-  let n = tg.Taskgraph.n in
+  let n = ctx.Ctx.tg.Taskgraph.n in
   let k = max 1 (List.length region) in
   let cap = max 1 ((n + k - 1) / k) in
-  let active = Constraints.active cons in
+  let active = Ctx.constrained ctx in
   let feasible task p =
-    in_region.(p) && ((not active) || Constraints.feasible cons ~task ~proc:p)
+    in_region.(p)
+    && ((not active) || Constraints.feasible ctx.Ctx.constraints ~task ~proc:p)
   in
-  let* proc_of =
-    Incremental.try_place ~feasible (Taskgraph.static_graph tg) ~activation ~cap topo
-  in
-  let cluster_ids = Hashtbl.create 16 in
-  let cluster_of =
-    Array.map
-      (fun p ->
-        match Hashtbl.find_opt cluster_ids p with
-        | Some c -> c
-        | None ->
-          let c = Hashtbl.length cluster_ids in
-          Hashtbl.add cluster_ids p c;
-          c)
-      proc_of
-  in
-  let proc_of_cluster = Array.make (Hashtbl.length cluster_ids) 0 in
-  Hashtbl.iter (fun p c -> proc_of_cluster.(c) <- p) cluster_ids;
-  let routings, _ =
-    Route.mm_route ~cap:t.cfg.cf_route_cap tg topo ~proc_of_task:proc_of
-  in
-  let m =
-    {
-      Mapping.tg;
-      topo;
-      cluster_of;
-      proc_of_cluster;
-      routings;
-      strategy = "cluster-incremental";
-    }
-  in
-  match
-    Mapping.validate ?constraints:(if active then Some cons else None) m
-  with
-  | Error e -> Error ("placement failed validation: " ^ e)
-  | Ok () -> Ok m
+  let* proc_of = Incremental.try_place ~feasible (Ctx.static ctx) ~activation ~cap topo in
+  Result.map_error
+    (fun e -> "placement failed validation: " ^ e)
+    (Pipeline.route ctx "cluster-incremental" (Mapping.clusters proc_of))
 
 (* processors the mapping actually occupies, sorted *)
 let used_procs m =
@@ -311,12 +295,7 @@ let try_admit t (p : pending) =
   let ar = p.p_arrival in
   let topo = t.view.Faults.topo in
   let n = p.p_tg.Taskgraph.n in
-  let cons = Constraints.compile ar.ar_constraints p.p_tg topo in
-  let* () =
-    match Constraints.errors cons with
-    | e :: _ -> Error ("constraints: " ^ e)
-    | [] -> Ok ()
-  in
+  let* ctx = lease_ctx t ar.ar_constraints p.p_tg in
   (* pinned processors must be part of the region, whatever the
      allocator would prefer *)
   let pinned = List.sort_uniq compare (List.map snd ar.ar_constraints.Constraints.pins) in
@@ -342,7 +321,7 @@ let try_admit t (p : pending) =
       let* rest, spans = allocate t ~exclude:pinned (want - List.length pinned) in
       Ok (List.sort_uniq compare (pinned @ rest), spans)
   in
-  let* m = build_mapping t p.p_tg p.p_activation region cons in
+  let* m = build_mapping ctx p.p_activation region in
   let makespan = (Netsim.run m).Netsim.makespan in
   let lease =
     {
@@ -408,11 +387,6 @@ let drain t =
 (* ------------------------------------------------------------------ *)
 (* chaos healing: price repair vs. fresh re-placement vs. eviction *)
 
-let price t m =
-  let topo = t.view.Faults.topo in
-  let before = Mapping.assignment (fst m) and after = Mapping.assignment (snd m) in
-  Netsim.migration_time ~volume:t.cfg.cf_migration_volume topo before after
-
 let heal t name l =
   let topo = t.view.Faults.topo in
   let alive_region = List.filter (Topology.alive topo) l.l_procs in
@@ -421,31 +395,34 @@ let heal t name l =
   let allowed = Hashtbl.create 16 in
   List.iter (fun p -> Hashtbl.replace allowed p ()) alive_region;
   List.iter (fun p -> Hashtbl.replace allowed p ()) free;
+  let price =
+    Remap.bill ~migration_volume:t.cfg.cf_migration_volume topo
+      (Mapping.assignment l.l_mapping)
+  in
   let repair_cand =
     match
-      Repair.repair ~cap:t.cfg.cf_route_cap ~constraints:l.l_arrival.ar_constraints
+      Repair.repair
+        ~options:(lease_options t l.l_arrival.ar_constraints)
         ~allowed:(Hashtbl.mem allowed) l.l_mapping topo
     with
     | Error e -> Error ("repair: " ^ e)
     | Ok rep ->
       let m = rep.Repair.rp_mapping in
-      let migration = price t (l.l_mapping, m) in
-      let makespan = (Netsim.run m).Netsim.makespan in
-      Ok (m, migration, makespan, Repair.moved rep)
+      Ok (m, price m)
   in
-  let commit which (m, migration, makespan, moved) =
+  let commit which (m, (b : Remap.bill)) =
     l.l_mapping <- m;
-    l.l_makespan <- makespan;
+    l.l_makespan <- b.Remap.b_makespan;
     l.l_procs <- List.sort_uniq compare (alive_region @ used_procs m);
-    t.migration_total <- t.migration_total + migration;
+    t.migration_total <- t.migration_total + b.Remap.b_migration;
     logf t "%s %s: %d moved, migration %d, makespan %d, region {%s}" which name
-      moved migration makespan (ids l.l_procs)
+      b.Remap.b_moved b.Remap.b_migration b.Remap.b_makespan (ids l.l_procs)
   in
   if dead_in_lease = [] then begin
     (* untouched placement; routes may still cross freshly dead links
        or processors, so re-route via a zero-move repair *)
     match repair_cand with
-    | Ok ((_, _, _, 0) as cand) -> commit "reroute" cand
+    | Ok ((_, b) as cand) when b.Remap.b_moved = 0 -> commit "reroute" cand
     | Ok cand ->
       t.repairs <- t.repairs + 1;
       commit "repair" cand
@@ -472,42 +449,28 @@ let heal t name l =
         else allocate t ~exclude:alive_region (want - List.length alive_region)
       in
       let region = List.sort_uniq compare (alive_region @ grown) in
-      let cons = Constraints.compile l.l_arrival.ar_constraints l.l_tg topo in
-      let* () =
-        match Constraints.errors cons with
-        | e :: _ -> Error ("constraints: " ^ e)
-        | [] -> Ok ()
-      in
-      let* m = build_mapping t l.l_tg l.l_activation region cons in
-      let migration = price t (l.l_mapping, m) in
-      let makespan = (Netsim.run m).Netsim.makespan in
-      let moved =
-        let b = Mapping.assignment l.l_mapping and a = Mapping.assignment m in
-        let c = ref 0 in
-        Array.iteri (fun i p -> if p <> a.(i) then incr c) b;
-        !c
-      in
-      Ok (m, migration, makespan, moved)
+      let* ctx = lease_ctx t l.l_arrival.ar_constraints l.l_tg in
+      let* m = build_mapping ctx l.l_activation region in
+      Ok (m, price m)
     in
+    let cost (b : Remap.bill) = Printf.sprintf "%d+%d" b.Remap.b_migration b.Remap.b_makespan in
     match (repair_cand, remap_cand) with
-    | Ok ((_, rmig, rmk, _) as r), Ok ((_, smig, smk, _) as s) ->
-      (* minimum total disruption: migration traffic plus the
-         steady-state makespan the survivors will then run at *)
-      if rmig + rmk <= smig + smk then begin
+    | Ok ((_, rb) as r), Ok ((_, sb) as s) ->
+      if Remap.repair_wins ~repair:rb ~remap:sb then begin
         t.repairs <- t.repairs + 1;
-        logf t "heal %s: repair wins (%d+%d vs remap %d+%d)" name rmig rmk smig smk;
+        logf t "heal %s: repair wins (%s vs remap %s)" name (cost rb) (cost sb);
         commit "repair" r
       end
       else begin
         t.remaps <- t.remaps + 1;
-        logf t "heal %s: remap wins (%d+%d vs repair %d+%d)" name smig smk rmig rmk;
+        logf t "heal %s: remap wins (%s vs repair %s)" name (cost sb) (cost rb);
         commit "remap" s
       end
-    | Ok ((_, _, _, _) as r), Error e ->
+    | Ok r, Error e ->
       t.repairs <- t.repairs + 1;
       logf t "heal %s: repair only (%s)" name e;
       commit "repair" r
-    | Error e, Ok ((_, _, _, _) as s) ->
+    | Error e, Ok s ->
       t.remaps <- t.remaps + 1;
       logf t "heal %s: remap only (%s)" name e;
       commit "remap" s
@@ -548,11 +511,9 @@ let repack_candidate t =
   List.fold_left
     (fun acc (name, l) ->
       let* plan = acc in
-      let cons = Constraints.compile l.l_arrival.ar_constraints l.l_tg topo in
-      let* () =
-        match Constraints.errors cons with
-        | e :: _ -> Error (name ^ ": constraints: " ^ e)
-        | [] -> Ok ()
+      let* ctx =
+        Result.map_error (fun e -> name ^ ": " ^ e)
+          (lease_ctx t l.l_arrival.ar_constraints l.l_tg)
       in
       let pinned = pins_of l in
       let* () =
@@ -568,31 +529,18 @@ let repack_candidate t =
       let* region =
         if List.length free < want then
           Error (Printf.sprintf "%s: %d free, need %d" name (List.length free) want)
-        else begin
-          let comps = free_components topo free in
-          let fitting = List.filter (fun c -> List.length c >= want) comps in
-          match
-            List.sort (fun a b -> compare (List.length a) (List.length b)) fitting
-          with
-          | best :: _ -> Ok (List.filteri (fun i _ -> i < want) best)
-          | [] ->
-            let rec take acc = function
-              | _ when List.length acc >= want -> List.filteri (fun i _ -> i < want) acc
-              | [] -> acc
-              | c :: rest -> take (acc @ c) rest
-            in
-            Ok
-              (take []
-                 (List.sort (fun a b -> compare (List.length b) (List.length a)) comps))
-        end
+        else Ok (fst (choose_region topo free want))
       in
       let region = List.sort_uniq compare (pinned @ region) in
       let* m =
         Result.map_error (fun e -> name ^ ": " ^ e)
-          (build_mapping t l.l_tg l.l_activation region cons)
+          (build_mapping ctx l.l_activation region)
       in
       taken := region @ !taken;
-      let migration = price t (l.l_mapping, m) in
+      let migration =
+        Netsim.migration_time ~volume:t.cfg.cf_migration_volume topo
+          (Mapping.assignment l.l_mapping) (Mapping.assignment m)
+      in
       Ok ((name, l, region, m, migration) :: plan))
     (Ok []) leases
 
@@ -684,11 +632,10 @@ let load_arrival ar =
     Ok (tg, Array.make tg.Taskgraph.n 0)
   else
     let* source, defaults = Service.load_program ar.ar_program in
-    let bindings =
-      ar.ar_bindings
-      @ List.filter (fun (k, _) -> not (List.mem_assoc k ar.ar_bindings)) defaults
+    let* compiled =
+      Compile.compile_source ~bindings:(Service.merge_bindings ar.ar_bindings ~defaults)
+        source
     in
-    let* compiled = Compile.compile_source ~bindings source in
     Ok (compiled.Compile.graph, compiled.Compile.activation)
 
 let arrive t ar =
@@ -972,43 +919,28 @@ let parse_kv tok =
       ( String.sub tok 0 eq,
         String.sub tok (eq + 1) (String.length tok - eq - 1) )
 
+(* the request-line grammar of serve and the daemon, plus [procs=N] *)
 let parse_arrival name program opts =
-  List.fold_left
-    (fun acc tok ->
-      let* ar = acc in
-      match parse_kv tok with
-      | None -> Error (Printf.sprintf "bad option %S (want key=value)" tok)
-      | Some (k, v) -> (
-        let cons = ar.ar_constraints in
+  Service.fold_keys
+    (fun ar k v ->
+      match Service.constraint_key ar.ar_constraints k v with
+      | Some spec -> Result.map (fun ar_constraints -> { ar with ar_constraints }) spec
+      | None -> (
         match k with
         | "procs" -> (
           match int_of_string_opt v with
           | Some n when n > 0 -> Ok { ar with ar_procs = Some n }
           | _ -> Error (Printf.sprintf "bad procs %S" v))
-        | "pin" ->
-          let* pins = Constraints.parse_pins v in
-          Ok { ar with ar_constraints = { cons with Constraints.pins } }
-        | "forbid" ->
-          let* forbids = Constraints.parse_forbids v in
-          Ok { ar with ar_constraints = { cons with Constraints.forbids } }
-        | "require" ->
-          let* requires = Constraints.parse_requires v in
-          Ok { ar with ar_constraints = { cons with Constraints.requires } }
-        | "skip" ->
-          let skip_classes = String.split_on_char ',' v in
-          Ok { ar with ar_constraints = { cons with Constraints.skip_classes } }
-        | _ -> (
-          match int_of_string_opt v with
-          | Some n -> Ok { ar with ar_bindings = (k, n) :: ar.ar_bindings }
-          | None -> Error (Printf.sprintf "bad parameter %S (want an integer)" tok))))
-    (Ok
-       {
-         ar_name = name;
-         ar_program = program;
-         ar_procs = None;
-         ar_bindings = [];
-         ar_constraints = Constraints.none;
-       })
+        | _ ->
+          let* b = Service.binding k v in
+          Ok { ar with ar_bindings = ar.ar_bindings @ [ b ] }))
+    {
+      ar_name = name;
+      ar_program = program;
+      ar_procs = None;
+      ar_bindings = [];
+      ar_constraints = Constraints.none;
+    }
     opts
 
 let parse_fault_opts verb opts =
@@ -1069,6 +1001,17 @@ let load_trace path =
 
 (* ------------------------------------------------------------------ *)
 (* synthetic arrival generator *)
+
+let is_synth_trace s = String.starts_with ~prefix:"synth:" s
+
+let parse_synth_trace s =
+  let bad = Error (Printf.sprintf "bad synth trace %S (want synth:EVENTS[:SEED])" s) in
+  if not (is_synth_trace s) then bad
+  else
+    match String.split_on_char ':' s |> List.tl |> List.map int_of_string_opt with
+    | [ Some events ] when events > 0 -> Ok (events, 1)
+    | [ Some events; Some seed ] when events > 0 -> Ok (events, seed)
+    | _ -> bad
 
 let synth_trace ~events ~seed topo =
   let rng = Rng.create seed in

@@ -16,9 +16,9 @@
     - a {e kill} event (from a [--chaos] schedule or the trace itself)
       degrades the machine; every lease touching a dead processor is
       healed by pricing minimum-disruption {!Oregami_mapper.Repair}
-      against a from-scratch re-placement, migration traffic costed
-      with {!Oregami_metrics.Netsim.migration_time}, falling back to
-      evict-and-requeue when neither fits;
+      against a from-scratch re-placement with the recovery bill
+      {!Remap.recover} uses ({!Remap.bill}, {!Remap.repair_wins}),
+      falling back to evict-and-requeue when neither fits;
     - a {e revive} event restores processors/links
       ({!Oregami_topology.Faults.revive}) into the free pool;
     - arrivals that cannot be placed are queued (bounded — overflow is
@@ -35,8 +35,8 @@
 type arrival = {
   ar_name : string;  (** job name, unique among live + queued jobs *)
   ar_program : string;
-      (** built-in workload name, [synth:FAMILY:N[:SEED]] spec, or a
-          LaRCS source file — the {!Service.load_program} universe *)
+      (** [synth:FAMILY:N[:SEED]] spec, or a built-in workload name or
+          LaRCS source file (the {!Service.load_program} universe) *)
   ar_procs : int option;
       (** requested region size; default [⌈tasks/2⌉], clamped to the
           machine *)
@@ -154,7 +154,10 @@ val parse_trace_line : int -> string -> (event option, string) result
     {v arrive JOB PROGRAM [procs=N] [pin=..] [forbid=..] [require=..] [skip=..] [key=value..]
 depart JOB
 kill [procs=IDS] [links=IDS]
-revive [procs=IDS] [links=IDS] v} *)
+revive [procs=IDS] [links=IDS] v}
+    An arrival's options follow {!Service.parse_request}'s grammar
+    ({!Service.fold_keys}, {!Service.constraint_key}): a repeated key
+    or a malformed token fails with the same text serve answers. *)
 
 val load_trace : string -> (event list, string) result
 (** Parse a trace file, first error wins (with its line number). *)
@@ -163,5 +166,18 @@ val synth_trace :
   events:int -> seed:int -> Oregami_topology.Topology.t -> event list
 (** Seeded arrival/departure generator: small synthetic programs
     (grids, rings, trees, R-MATs of 8–40 tasks) arrive, run a while
-    and depart; ~2 arrivals per departure early on, converging to
-    balance.  Deterministic for a given seed and machine. *)
+    and depart.  Every event with a job running is a departure with
+    probability 0.45 and an arrival otherwise, for the whole trace, so
+    arrivals outrun departures and a long trace fills the machine
+    until admissions are refused — it does not converge to balance.
+    Deterministic for a given seed and machine. *)
+
+val is_synth_trace : string -> bool
+(** Whether a trace argument names a generated trace ([synth:...])
+    rather than a trace file. *)
+
+val parse_synth_trace : string -> (int * int, string) result
+(** [synth:EVENTS[:SEED]] → [(events, seed)], the seed defaulting
+    to 1 and [EVENTS] positive — the one grammar the [cluster] command
+    and the daemon's [cluster] verb accept.  Anything else is a named
+    error. *)

@@ -266,17 +266,7 @@ let cluster_max_events = 500
 let run_cluster ~jc_topo ~jc_trace ~jc_chaos =
   let ( let* ) = Result.bind in
   let* machine = Oregami_topology.Topology.of_string jc_topo in
-  let* events, seed =
-    if String.length jc_trace >= 6 && String.sub jc_trace 0 6 = "synth:" then
-      let rest = String.sub jc_trace 6 (String.length jc_trace - 6) in
-      match
-        String.split_on_char ':' rest |> List.map int_of_string_opt
-      with
-      | [ Some n ] when n > 0 -> Ok (n, 1)
-      | [ Some n; Some s ] when n > 0 -> Ok (n, s)
-      | _ -> Error (Printf.sprintf "bad trace %S (want synth:EVENTS[:SEED])" jc_trace)
-    else Error (Printf.sprintf "bad trace %S (want synth:EVENTS[:SEED])" jc_trace)
-  in
+  let* events, seed = Cluster.parse_synth_trace jc_trace in
   let* () =
     if events > cluster_max_events then
       Error (Printf.sprintf "trace of %d events exceeds cap %d" events cluster_max_events)

@@ -121,32 +121,39 @@ let plan ?options ?(migration_volume = 8) tg topo =
 (* ------------------------------------------------------------------ *)
 (* fault recovery: minimum-disruption repair vs. from-scratch remap   *)
 
+type bill = { b_migration : int; b_makespan : int; b_moved : int }
+
+let bill ?(migration_volume = 8) topo before m =
+  let after = Mapping.assignment m in
+  let moved = ref 0 in
+  Array.iteri (fun t p -> if p <> after.(t) then incr moved) before;
+  {
+    b_migration = Netsim.migration_time ~volume:migration_volume topo before after;
+    b_makespan = (Netsim.run m).Netsim.makespan;
+    b_moved = !moved;
+  }
+
+(* minimum total disruption: migration traffic plus the steady-state
+   makespan the survivors then run at; a tie keeps the repair, which
+   disturbs fewer tasks *)
+let repair_wins ~repair ~remap =
+  repair.b_migration + repair.b_makespan <= remap.b_migration + remap.b_makespan
+
 type recovery = {
   rc_faults : Faults.t;
   rc_base : Mapping.t;
   rc_base_makespan : int;
   rc_base_ms : float;
   rc_repair : Repair.t;
-  rc_repair_migration : int;
-  rc_repair_makespan : int;
+  rc_repair_bill : bill;
   rc_repair_ms : float;
   rc_remap : Mapping.t;
-  rc_remap_moved : int;
-  rc_remap_migration : int;
-  rc_remap_makespan : int;
+  rc_remap_bill : bill;
   rc_remap_ms : float;
   rc_repair_wins : bool;
 }
 
-let moved_between before after =
-  let n = Array.length before in
-  let count = ref 0 in
-  for t = 0 to n - 1 do
-    if before.(t) <> after.(t) then incr count
-  done;
-  !count
-
-let recover ?options ?(migration_volume = 8) ?compiled tg topo faults =
+let recover ?options ?migration_volume ?compiled tg topo faults =
   let ( let* ) = Result.bind in
   let* () =
     if Faults.is_empty faults then Error "no faults to recover from" else Ok ()
@@ -167,16 +174,11 @@ let recover ?options ?(migration_volume = 8) ?compiled tg topo faults =
   in
   let* rc_base = base_r in
   let rc_base_makespan = (Netsim.run rc_base).Netsim.makespan in
+  (* the repair honours the options the base mapping was produced
+     under — its constraints recompiled against the degraded machine,
+     so a pin on a dead processor refuses by name *)
   let repair_r, rc_repair_ms =
-    (* the repair honours the same placement constraints the base
-       mapping was produced under — recompiled against the degraded
-       machine, so a pin on a dead processor refuses by name *)
-    let constraints =
-      match options with
-      | Some o -> o.Oregami_mapper.Ctx.constraints
-      | None -> Oregami_mapper.Constraints.none
-    in
-    timed (fun () -> Repair.repair ~constraints rc_base view.Faults.topo)
+    timed (fun () -> Repair.repair ?options rc_base view.Faults.topo)
   in
   let* rc_repair = repair_r in
   let remap_r, rc_remap_ms =
@@ -190,14 +192,9 @@ let recover ?options ?(migration_volume = 8) ?compiled tg topo faults =
       (fun e -> "from-scratch remap on the degraded topology failed: " ^ e)
       remap_r
   in
-  let before = Mapping.assignment rc_base in
-  let repaired = Mapping.assignment rc_repair.Repair.rp_mapping in
-  let remapped = Mapping.assignment rc_remap in
-  let price = Netsim.migration_time ~volume:migration_volume view.Faults.topo in
-  let rc_repair_migration = price before repaired in
-  let rc_remap_migration = price before remapped in
-  let rc_repair_makespan = (Netsim.run rc_repair.Repair.rp_mapping).Netsim.makespan in
-  let rc_remap_makespan = (Netsim.run rc_remap).Netsim.makespan in
+  let price = bill ?migration_volume view.Faults.topo (Mapping.assignment rc_base) in
+  let rc_repair_bill = price rc_repair.Repair.rp_mapping in
+  let rc_remap_bill = price rc_remap in
   Ok
     {
       rc_faults = faults;
@@ -205,14 +202,10 @@ let recover ?options ?(migration_volume = 8) ?compiled tg topo faults =
       rc_base_makespan;
       rc_base_ms;
       rc_repair;
-      rc_repair_migration;
-      rc_repair_makespan;
+      rc_repair_bill;
       rc_repair_ms;
       rc_remap;
-      rc_remap_moved = moved_between before remapped;
-      rc_remap_migration;
-      rc_remap_makespan;
+      rc_remap_bill;
       rc_remap_ms;
-      rc_repair_wins =
-        rc_repair_migration + rc_repair_makespan <= rc_remap_migration + rc_remap_makespan;
+      rc_repair_wins = repair_wins ~repair:rc_repair_bill ~remap:rc_remap_bill;
     }

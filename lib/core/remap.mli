@@ -48,22 +48,41 @@ val plan :
     ({!Oregami_mapper.Repair}) or remap from scratch on the degraded
     machine, and compare. *)
 
+type bill = {
+  b_migration : int;  (** {!Oregami_metrics.Netsim.migration_time} of the move *)
+  b_makespan : int;  (** steady-state Netsim makespan after the move *)
+  b_moved : int;  (** tasks whose processor changes *)
+}
+(** What one recovery candidate costs a running computation. *)
+
+val bill :
+  ?migration_volume:int ->
+  Oregami_topology.Topology.t ->
+  int array ->
+  Oregami_mapper.Mapping.t ->
+  bill
+(** [bill topo before m] prices moving from the task → processor
+    assignment [before] onto mapping [m] over [topo] (the machine the
+    move happens on).  [migration_volume] defaults to 8 units per
+    moved task. *)
+
+val repair_wins : repair:bill -> remap:bill -> bool
+(** The recovery rule {!recover} and the online cluster's healing
+    share: the repair wins when its migration plus steady-state
+    makespan does not exceed the remap's — a tie goes to the repair. *)
+
 type recovery = {
   rc_faults : Oregami_topology.Faults.t;
   rc_base : Oregami_mapper.Mapping.t;  (** mapping on the pristine machine *)
   rc_base_makespan : int;
   rc_base_ms : float;  (** wall-clock spent on the initial mapping *)
   rc_repair : Oregami_mapper.Repair.t;  (** minimum-disruption repair *)
-  rc_repair_migration : int;  (** evacuation traffic, Remap cost model *)
-  rc_repair_makespan : int;  (** steady-state makespan after repair *)
+  rc_repair_bill : bill;
   rc_repair_ms : float;  (** wall-clock spent on the repair *)
   rc_remap : Oregami_mapper.Mapping.t;  (** from-scratch mapping on the degraded view *)
-  rc_remap_moved : int;  (** tasks whose processor changes under the remap *)
-  rc_remap_migration : int;
-  rc_remap_makespan : int;
+  rc_remap_bill : bill;
   rc_remap_ms : float;  (** wall-clock spent on the from-scratch remap *)
-  rc_repair_wins : bool;
-      (** migration + steady-state cost favours (or ties) the repair *)
+  rc_repair_wins : bool;  (** {!repair_wins} on the two bills *)
 }
 
 val recover :
@@ -74,10 +93,11 @@ val recover :
   Oregami_topology.Topology.t ->
   Oregami_topology.Faults.t ->
   (recovery, string) result
-(** [recover tg topo faults] maps on the pristine [topo], applies the
-    fault set, repairs, remaps from scratch on the degraded view, and
-    prices both transitions as migration traffic.  Pass [?compiled]
-    when the task graph came from a LaRCS program so both mappings use
-    the full dispatch.  Errors on an empty fault set, invalid ids, and
+(** [recover tg topo faults] maps on the pristine [topo] under
+    [options], applies the fault set, repairs under the same options
+    ({!Oregami_mapper.Repair.repair}), remaps from scratch on the
+    degraded view, and bills both transitions.  Pass [?compiled] when
+    the task graph came from a LaRCS program so both mappings use the
+    full dispatch.  Errors on an empty fault set, invalid ids, and
     faults that disconnect the surviving processors (with the
     partitions named). *)

@@ -80,6 +80,53 @@ let tokens line =
 
 let default_retries = 2
 
+let fold_keys f init toks =
+  let ( let* ) = Result.bind in
+  List.fold_left
+    (fun acc tok ->
+      let* x, seen = acc in
+      match String.index_opt tok '=' with
+      | None | Some 0 -> Error (Printf.sprintf "bad token %S (want key=value)" tok)
+      | Some i ->
+        let k = String.sub tok 0 i in
+        (* a repeated key is a client typo (the second value would
+           silently win): fail loudly instead *)
+        if List.mem k seen then
+          Error (Printf.sprintf "duplicate key %S (each key may appear once)" k)
+        else
+          let* x = f x k (String.sub tok (i + 1) (String.length tok - i - 1)) in
+          Ok (x, k :: seen))
+    (Ok (init, []))
+    toks
+  |> Result.map fst
+
+let names v = String.split_on_char ',' v |> List.filter (fun n -> n <> "")
+
+(* placement constraints; [:] separates inside values since [=]
+   already binds the key, e.g. pin=3:0,7:12 *)
+let constraint_key (spec : Constraints.spec) k v =
+  let ( let+ ) r f = Some (Result.map f r) in
+  match k with
+  | "pin" ->
+    let+ pins = Constraints.parse_pins v in
+    { spec with Constraints.pins }
+  | "forbid" ->
+    let+ forbids = Constraints.parse_forbids v in
+    { spec with Constraints.forbids }
+  | "require" ->
+    let+ requires = Constraints.parse_requires v in
+    { spec with Constraints.requires }
+  | "skip" -> Some (Ok { spec with Constraints.skip_classes = names v })
+  | _ -> None
+
+let binding k v =
+  match int_of_string_opt v with
+  | Some n -> Ok (k, n)
+  | None -> Error (Printf.sprintf "bad parameter %S (want an integer value)" (k ^ "=" ^ v))
+
+let merge_bindings bindings ~defaults =
+  bindings @ List.filter (fun (k, _) -> not (List.mem_assoc k bindings)) defaults
+
 let parse_request ~id line =
   let ( let* ) = Result.bind in
   match tokens line with
@@ -88,50 +135,31 @@ let parse_request ~id line =
   | [ _ ] -> Error "want: PROGRAM TOPOLOGY [key=value ...]"
   | program :: topology :: opts ->
     let with_options req f = { req with rq_options = f req.rq_options } in
-    let* req, _seen =
-      List.fold_left
-        (fun acc tok ->
-          let* req, seen = acc in
-          match String.index_opt tok '=' with
-          | None | Some 0 ->
-            Error (Printf.sprintf "bad token %S (want key=value)" tok)
-          | Some i ->
-            let k = String.sub tok 0 i in
-            let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-            (* a repeated key is a client typo (the second value would
-               silently win): fail loudly instead *)
-            let* () =
-              if List.mem k seen then
-                Error (Printf.sprintf "duplicate key %S (each key may appear once)" k)
-              else Ok ()
-            in
-            let seen = k :: seen in
-            let* req =
-            let non_negative what =
-              match int_of_string_opt v with
-              | Some n when n >= 0 -> Ok n
-              | Some _ | None ->
-                Error
-                  (Printf.sprintf "%s wants a non-negative integer, got %S"
-                     what v)
-            in
-            let names () =
-              String.split_on_char ',' v |> List.filter (fun n -> n <> "")
-            in
-            (match k with
+    let* req =
+      fold_keys
+        (fun req k v ->
+          let non_negative what =
+            match int_of_string_opt v with
+            | Some n when n >= 0 -> Ok n
+            | Some _ | None ->
+              Error (Printf.sprintf "%s wants a non-negative integer, got %S" what v)
+          in
+          match constraint_key req.rq_options.Ctx.constraints k v with
+          | Some spec ->
+            let* constraints = spec in
+            Ok (with_options req (fun o -> { o with Ctx.constraints }))
+          | None -> (
+            match k with
             | "fuel" ->
               let* n = non_negative "fuel" in
               Ok (with_options req (fun o -> { o with Ctx.fuel = Some n }))
             | "deadline-ms" -> begin
               match float_of_string_opt v with
               | Some f when f >= 0.0 ->
-                Ok
-                  (with_options req (fun o ->
-                       { o with Ctx.deadline_ms = Some f }))
+                Ok (with_options req (fun o -> { o with Ctx.deadline_ms = Some f }))
               | Some _ | None ->
                 Error
-                  (Printf.sprintf
-                     "deadline-ms wants a non-negative number, got %S" v)
+                  (Printf.sprintf "deadline-ms wants a non-negative number, got %S" v)
             end
             | "retries" ->
               let* n = non_negative "retries" in
@@ -142,71 +170,23 @@ let parse_request ~id line =
             | "routing" ->
               let* routing = Ctx.routing_of_string v in
               Ok (with_options req (fun o -> { o with Ctx.routing }))
-            | "only" ->
-              Ok (with_options req (fun o -> { o with Ctx.only = names () }))
-            | "exclude" ->
-              Ok (with_options req (fun o -> { o with Ctx.exclude = names () }))
+            | "only" -> Ok (with_options req (fun o -> { o with Ctx.only = names v }))
+            | "exclude" -> Ok (with_options req (fun o -> { o with Ctx.exclude = names v }))
             | "multilevel-threshold" ->
               let* n = non_negative "multilevel-threshold" in
-              Ok
-                (with_options req (fun o -> { o with Ctx.multilevel_threshold = n }))
-            (* placement constraints; [:] separates inside values since
-               [=] already binds the key, e.g. pin=3:0,7:12 *)
-            | "pin" ->
-              let* pins = Constraints.parse_pins v in
-              Ok
-                (with_options req (fun o ->
-                     {
-                       o with
-                       Ctx.constraints =
-                         { o.Ctx.constraints with Constraints.pins };
-                     }))
-            | "forbid" ->
-              let* forbids = Constraints.parse_forbids v in
-              Ok
-                (with_options req (fun o ->
-                     {
-                       o with
-                       Ctx.constraints =
-                         { o.Ctx.constraints with Constraints.forbids };
-                     }))
-            | "require" ->
-              let* requires = Constraints.parse_requires v in
-              Ok
-                (with_options req (fun o ->
-                     {
-                       o with
-                       Ctx.constraints =
-                         { o.Ctx.constraints with Constraints.requires };
-                     }))
-            | "skip" ->
-              Ok
-                (with_options req (fun o ->
-                     {
-                       o with
-                       Ctx.constraints =
-                         { o.Ctx.constraints with Constraints.skip_classes = names () };
-                     }))
-            | _ -> begin
+              Ok (with_options req (fun o -> { o with Ctx.multilevel_threshold = n }))
+            | _ ->
               (* anything else is a program parameter binding *)
-              match int_of_string_opt v with
-              | Some n -> Ok { req with rq_bindings = (k, n) :: req.rq_bindings }
-              | None ->
-                Error
-                  (Printf.sprintf "bad parameter %S (want an integer value)" tok)
-            end)
-            in
-            Ok (req, seen))
-        (Ok
-           ( {
-               rq_id = id;
-               rq_program = program;
-               rq_topology = topology;
-               rq_bindings = [];
-               rq_options = { Ctx.default_options with Ctx.fallback = true };
-               rq_retries = default_retries;
-             },
-             [] ))
+              let* b = binding k v in
+              Ok { req with rq_bindings = b :: req.rq_bindings }))
+        {
+          rq_id = id;
+          rq_program = program;
+          rq_topology = topology;
+          rq_bindings = [];
+          rq_options = { Ctx.default_options with Ctx.fallback = true };
+          rq_retries = default_retries;
+        }
         opts
     in
     Ok (Some { req with rq_bindings = List.rev req.rq_bindings })
@@ -303,13 +283,9 @@ let compile_program req =
   match
     Isolate.protect (fun () ->
         let* source, defaults = load_program req.rq_program in
-        let bindings =
-          req.rq_bindings
-          @ List.filter
-              (fun (k, _) -> not (List.mem_assoc k req.rq_bindings))
-              defaults
-        in
-        Oregami_larcs.Compile.compile_source ~bindings source)
+        Oregami_larcs.Compile.compile_source
+          ~bindings:(merge_bindings req.rq_bindings ~defaults)
+          source)
   with
   | Error exn -> Error ("internal crash: " ^ exn)
   | Ok r -> r
@@ -328,36 +304,21 @@ let build_topology spec =
   | Error exn -> Error ("internal crash: " ^ exn)
   | Ok r -> r
 
+(* topology first, so a request naming both a bad topology and a bad
+   program reports the topology *)
 let setup ?caches req =
   let ( let* ) = Result.bind in
-  match caches with
-  | Some c ->
-    (* same error precedence as the uncached path: topology first *)
-    let* topo =
-      Memo.get c.c_topologies req.rq_topology (fun () ->
-          build_topology req.rq_topology)
-    in
-    let* compiled =
-      Memo.get c.c_programs (program_key req) (fun () -> compile_program req)
-    in
-    Ok (compiled, topo)
-  | None -> begin
-    match
-      Isolate.protect (fun () ->
-          let* topo = Topology.of_string req.rq_topology in
-          let* source, defaults = load_program req.rq_program in
-          let bindings =
-            req.rq_bindings
-            @ List.filter
-                (fun (k, _) -> not (List.mem_assoc k req.rq_bindings))
-                defaults
-          in
-          let* compiled = Oregami_larcs.Compile.compile_source ~bindings source in
-          Ok (compiled, topo))
-    with
-    | Error exn -> Error ("internal crash: " ^ exn)
-    | Ok r -> r
-  end
+  let cached table key build =
+    match caches with Some c -> Memo.get (table c) key build | None -> build ()
+  in
+  let* topo =
+    cached (fun c -> c.c_topologies) req.rq_topology (fun () ->
+        build_topology req.rq_topology)
+  in
+  let* compiled =
+    cached (fun c -> c.c_programs) (program_key req) (fun () -> compile_program req)
+  in
+  Ok (compiled, topo)
 
 let run_request ?(backoff = default_backoff) ?breaker ?caches req =
   let breaker =

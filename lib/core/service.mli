@@ -94,6 +94,36 @@ val parse_request : id:int -> string -> (request option, string) result
 (** [Ok None] for blank/comment lines.  Duplicate keys are an
     [Error]. *)
 
+(** {2 The request-line key grammar}
+
+    Shared with the cluster's trace lines so both answer the same
+    input with the same result and the same error text. *)
+
+val fold_keys :
+  ('a -> string -> string -> ('a, string) result) ->
+  'a ->
+  string list ->
+  ('a, string) result
+(** [fold_keys f init tokens] folds [f acc key value] over [key=value]
+    tokens left to right; the first malformed token, repeated key or
+    [f] error wins. *)
+
+val constraint_key :
+  Oregami_mapper.Constraints.spec ->
+  string ->
+  string ->
+  (Oregami_mapper.Constraints.spec, string) result option
+(** The placement-constraint keys [pin], [forbid], [require] and
+    [skip] applied to a spec; [None] for any other key.  Empty names
+    in a [skip] list are dropped. *)
+
+val binding : string -> string -> (string * int, string) result
+(** A program parameter binding [key=INT]. *)
+
+val merge_bindings :
+  (string * int) list -> defaults:(string * int) list -> (string * int) list
+(** Explicit bindings override the program's defaults. *)
+
 type backoff = {
   bo_base_ms : float;  (** delay before the first retry *)
   bo_factor : float;  (** multiplier per further retry *)

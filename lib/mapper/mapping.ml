@@ -219,6 +219,23 @@ let dilation_stats m =
     let total = List.fold_left ( + ) 0 l in
     (List.fold_left max 0 l, float_of_int total /. float_of_int count, count)
 
+let clusters assignment =
+  let id = Array.make (1 + Array.fold_left max (-1) assignment) (-1) in
+  let next = ref 0 in
+  let cluster_of =
+    Array.map
+      (fun p ->
+        if id.(p) < 0 then begin
+          id.(p) <- !next;
+          incr next
+        end;
+        id.(p))
+      assignment
+  in
+  let proc_of_cluster = Array.make !next 0 in
+  Array.iteri (fun p c -> if c >= 0 then proc_of_cluster.(c) <- p) id;
+  (cluster_of, proc_of_cluster)
+
 let total_ipc static cluster_of =
   List.fold_left
     (fun acc (u, v, w) -> if cluster_of.(u) <> cluster_of.(v) then acc + w else acc)

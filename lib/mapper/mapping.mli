@@ -48,6 +48,13 @@ val dilation_stats : t -> int * float * int
 (** [(max, average, edge_count)] over all routed cross-processor edges
     (average 0 when there are none). *)
 
+val clusters : int array -> int array * int array
+(** [clusters assignment] turns a task → processor assignment into
+    dense clusters, one per occupied processor, numbered in order of
+    first use: [(cluster_of, proc_of_cluster)] with
+    [proc_of_cluster.(cluster_of.(t)) = assignment.(t)].  The
+    embedding is injective by construction. *)
+
 val total_ipc : Oregami_graph.Ugraph.t -> int array -> int
 (** [total_ipc static cluster_of]: total weight of edges crossing
     between clusters — the objective MWM-Contract minimizes. *)

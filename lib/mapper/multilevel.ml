@@ -245,22 +245,6 @@ let run ctx =
     done;
     Stats.bump stats "multilevel refine moves" !moves;
     Stats.bump stats "multilevel refine gain" !gain;
-    (* dense cluster ids numbered by smallest task, injective embedding
-       by construction (one cluster per occupied processor) *)
-    let final = !assign in
-    let ids = Hashtbl.create (min (2 * p) 4096) in
-    let cluster_of =
-      Array.map
-        (fun pr ->
-          match Hashtbl.find_opt ids pr with
-          | Some c -> c
-          | None ->
-            let c = Hashtbl.length ids in
-            Hashtbl.add ids pr c;
-            c)
-        final
-    in
-    let proc_of_cluster = Array.make (Hashtbl.length ids) 0 in
-    Hashtbl.iter (fun pr c -> proc_of_cluster.(c) <- pr) ids;
+    let cluster_of, proc_of_cluster = Mapping.clusters !assign in
     Ok { ml_cluster_of = cluster_of; ml_proc_of_cluster = proc_of_cluster; ml_levels = nl }
   end

@@ -73,33 +73,27 @@ let place ctx (cand : Strategy.candidate) =
     Stats.add_phase_seconds ctx.Ctx.stats "embed" (now () -. t0);
     result
 
-(* routing pass + structural validation *)
-let finish ctx (cand : Strategy.candidate) proc_of_cluster =
+(* the routing pass every re-placement goes through: the router
+   [Ctx.resolve_routing] picks, under the ctx's route cap, budget and
+   jobs, then structural validation against the ctx's constraints *)
+let route ctx label (cluster_of, proc_of_cluster) =
   let tg = ctx.Ctx.tg in
-  let n = tg.Taskgraph.n in
-  let cluster_of = cand.Strategy.cluster_of in
-  let proc_of_task = Array.init n (fun t -> proc_of_cluster.(cluster_of.(t))) in
+  let proc_of_task = Array.init tg.Taskgraph.n (fun t -> proc_of_cluster.(cluster_of.(t))) in
+  let budget = ctx.Ctx.budget and cap = ctx.Ctx.options.Ctx.route_cap in
+  let rounds phases = List.fold_left (fun acc (_, r) -> acc + r) 0 phases in
   let t0 = now () in
   let routings =
     match Ctx.resolve_routing ctx with
     | Ctx.Mm_route ->
-      let routings, rstats =
-        Route.mm_route ~budget:ctx.Ctx.budget ~cap:ctx.Ctx.options.Ctx.route_cap tg
-          ctx.Ctx.topo ~proc_of_task
-      in
-      Stats.add_matching_rounds ctx.Ctx.stats
-        (List.fold_left (fun acc (_, rounds) -> acc + rounds) 0 rstats.Route.phases);
+      let routings, rstats = Route.mm_route ~budget ~cap tg ctx.Ctx.topo ~proc_of_task in
+      Stats.add_matching_rounds ctx.Ctx.stats (rounds rstats.Route.phases);
       routings
     | Ctx.Coarse ->
       let routings, cstats =
-        Route.coarse_route ~budget:ctx.Ctx.budget
-          ~cap:ctx.Ctx.options.Ctx.route_cap ~jobs:ctx.Ctx.options.Ctx.jobs tg
-          ctx.Ctx.topo ~proc_of_task
+        Route.coarse_route ~budget ~cap ~jobs:ctx.Ctx.options.Ctx.jobs tg ctx.Ctx.topo
+          ~proc_of_task
       in
-      Stats.add_matching_rounds ctx.Ctx.stats
-        (List.fold_left
-           (fun acc (_, rounds) -> acc + rounds)
-           0 cstats.Route.co_phases);
+      Stats.add_matching_rounds ctx.Ctx.stats (rounds cstats.Route.co_phases);
       Stats.bump ctx.Ctx.stats "coarse route pairs" cstats.Route.co_pairs;
       Stats.bump ctx.Ctx.stats "coarse route messages" cstats.Route.co_messages;
       routings
@@ -108,24 +102,18 @@ let finish ctx (cand : Strategy.candidate) proc_of_cluster =
   in
   Stats.add_phase_seconds ctx.Ctx.stats "route" (now () -. t0);
   let m =
-    {
-      Mapping.tg;
-      topo = ctx.Ctx.topo;
-      cluster_of;
-      proc_of_cluster;
-      routings;
-      strategy = cand.Strategy.label;
-    }
+    { Mapping.tg; topo = ctx.Ctx.topo; cluster_of; proc_of_cluster; routings; strategy = label }
   in
-  let constraints =
-    if Ctx.constrained ctx then Some ctx.Ctx.constraints else None
-  in
+  let constraints = if Ctx.constrained ctx then Some ctx.Ctx.constraints else None in
   let tv = now () in
   let validated = Mapping.validate ?constraints m in
   Stats.add_phase_seconds ctx.Ctx.stats "validate" (now () -. tv);
-  match validated with
-  | Ok () -> Ok m
-  | Error e -> Error ("mapping failed validation: " ^ e)
+  Result.map (fun () -> m) validated
+
+let finish ctx (cand : Strategy.candidate) proc_of_cluster =
+  Result.map_error
+    (fun e -> "mapping failed validation: " ^ e)
+    (route ctx cand.Strategy.label (cand.Strategy.cluster_of, proc_of_cluster))
 
 (* run one strategy: circuit breaker, budget, and availability gates,
    then timed production under the exception barrier; every outcome —
@@ -257,22 +245,7 @@ let fallback_candidate ctx =
       match !err with
       | Some e -> Error e
       | None ->
-        (* dense clusters grouped by processor — injective by
-           construction *)
-        let ids = Hashtbl.create (min (2 * p) 4096) in
-        let cluster_of =
-          Array.map
-            (fun pr ->
-              match Hashtbl.find_opt ids pr with
-              | Some c -> c
-              | None ->
-                let c = Hashtbl.length ids in
-                Hashtbl.add ids pr c;
-                c)
-            proc_of_task
-        in
-        let proc_of_cluster = Array.make (Hashtbl.length ids) 0 in
-        Hashtbl.iter (fun pr c -> proc_of_cluster.(c) <- pr) ids;
+        let cluster_of, proc_of_cluster = Mapping.clusters proc_of_task in
         Ok
           {
             Strategy.label = "fallback:greedy-feasible";

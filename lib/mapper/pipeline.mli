@@ -9,7 +9,7 @@
       one that produces a candidate wins outright (no scoring).
     - Otherwise every [Compete]-tier candidate is embedded
       (NN-Embed + pairwise-interchange refinement for [Embed]
-      placements), routed (MM-Route or the oblivious router), validated,
+      placements), routed and validated by {!route},
       and scored with [score] (the driver passes the METRICS
       completion-time model); the best score wins, ties broken by
       registry order then emission order.
@@ -53,12 +53,17 @@ val place : Ctx.t -> Strategy.candidate -> (int array, string) result
     candidate when a cluster merges incompatible constraints or no
     feasible processor remains. *)
 
-val finish :
-  Ctx.t -> Strategy.candidate -> int array -> (Mapping.t, string) result
-(** The routing pass: route the placed candidate with the configured
-    router (recording matching rounds) and validate the mapping —
-    including the {!Constraints.drc} named-violation pass when
-    constraints are active. *)
+val route : Ctx.t -> string -> int array * int array -> (Mapping.t, string) result
+(** [route ctx label (cluster_of, proc_of_cluster)] is the one routing
+    pass every placement goes through — pipeline candidates, fault
+    repair, cluster leases and interactive edits alike.  It routes
+    with the router {!Ctx.resolve_routing} picks ([Auto] switches to
+    coarse routing above [multilevel_threshold] tasks) under the ctx's
+    [route_cap], [jobs] and budget, recording matching rounds and
+    per-phase wall-clock in [ctx.stats], and validates the mapping
+    (labelled [label]) against the topology and, when active, the
+    ctx's constraints ({!Constraints.drc}).  [Error] carries the
+    validation failure. *)
 
 val compete :
   score:(Mapping.t -> int) ->

@@ -37,8 +37,8 @@ let evacuate static dc degraded allowed feasible proc_of load cap_load t =
   in
   match pick ~capped:true with -1 -> pick ~capped:false | p -> p
 
-let repair ?(cap = 64) ?(constraints = Constraints.none) ?(allowed = fun _ -> true)
-    (m : Mapping.t) degraded =
+let repair ?(options = Ctx.default_options) ?(allowed = fun _ -> true) (m : Mapping.t)
+    degraded =
   let tg = m.Mapping.tg in
   let n = tg.Taskgraph.n in
   if Topology.node_count degraded <> Topology.node_count m.Mapping.topo then
@@ -50,22 +50,21 @@ let repair ?(cap = 64) ?(constraints = Constraints.none) ?(allowed = fun _ -> tr
     let alive_count = Topology.alive_count degraded in
     if alive_count = 0 then Error "no processor survives the faults"
     else begin
-      (* constraints are recompiled against the *degraded* machine: a
-         task pinned to a dead processor is a compile error here — the
-         repair refuses rather than evacuate it somewhere it must not
-         run *)
-      let cons = Constraints.compile constraints tg degraded in
-      match Constraints.errors cons with
+      (* the context compiles the constraints against the *degraded*
+         machine: a task pinned to a dead processor is a compile error
+         here — the repair refuses rather than evacuate it somewhere it
+         must not run *)
+      let ctx = Ctx.of_taskgraph ~options tg degraded in
+      match Constraints.errors ctx.Ctx.constraints with
       | e :: _ -> Error ("constraints unsatisfiable after faults: " ^ e)
       | [] ->
-      let constrained = Constraints.active cons in
       let feasible =
-        if constrained then fun t p -> Constraints.feasible cons ~task:t ~proc:p
+        if Ctx.constrained ctx then fun t p ->
+          Constraints.feasible ctx.Ctx.constraints ~task:t ~proc:p
         else fun _ _ -> true
       in
       let before = Mapping.assignment m in
-      let static = Taskgraph.static_graph tg in
-      let dc = Distcache.hops degraded in
+      let static = Ctx.static ctx in
       (* surviving placements are frozen; only tasks stranded on a dead
          processor are evacuated *)
       let proc_of =
@@ -88,7 +87,9 @@ let repair ?(cap = 64) ?(constraints = Constraints.none) ?(allowed = fun _ -> tr
       List.iter
         (fun t ->
           if !stuck = None then begin
-            match evacuate static dc degraded allowed feasible proc_of load cap_load t with
+            match
+              evacuate static ctx.Ctx.dist degraded allowed feasible proc_of load cap_load t
+            with
             | -1 ->
               stuck :=
                 Some
@@ -102,40 +103,16 @@ let repair ?(cap = 64) ?(constraints = Constraints.none) ?(allowed = fun _ -> tr
       match !stuck with
       | Some e -> Error e
       | None ->
-      (* dense clusters rebuilt from the processor assignment (evacuees
-         may merge into surviving clusters when no processor is free) *)
-      let ids = Hashtbl.create 16 in
-      let cluster_of =
-        Array.map
-          (fun p ->
-            match Hashtbl.find_opt ids p with
-            | Some c -> c
-            | None ->
-              let c = Hashtbl.length ids in
-              Hashtbl.add ids p c;
-              c)
-          proc_of
-      in
-      let proc_of_cluster = Array.make (Hashtbl.length ids) 0 in
-      Hashtbl.iter (fun p c -> proc_of_cluster.(c) <- p) ids;
-      (* re-route every phase on the degraded view with MM-Route: even
-         unmoved traffic may have crossed a now-dead link *)
-      let routings, _ = Route.mm_route ~cap tg degraded ~proc_of_task:proc_of in
-      let mapping =
-        {
-          Mapping.tg;
-          topo = degraded;
-          cluster_of;
-          proc_of_cluster;
-          routings;
-          strategy = Printf.sprintf "repair(%s)" m.Mapping.strategy;
-        }
-      in
+      (* evacuees may merge into surviving clusters when no processor
+         is free; every phase is re-routed on the degraded view, since
+         even unmoved traffic may have crossed a now-dead link *)
       match
-        Mapping.validate ?constraints:(if constrained then Some cons else None) mapping
+        Pipeline.route ctx
+          (Printf.sprintf "repair(%s)" m.Mapping.strategy)
+          (Mapping.clusters proc_of)
       with
       | Error e -> Error ("repaired mapping failed validation: " ^ e)
-      | Ok () ->
+      | Ok mapping ->
         let rp_moves =
           List.filter_map
             (fun t ->

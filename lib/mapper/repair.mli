@@ -10,9 +10,10 @@
       already-placed neighbours, ties by load then id), preferring
       processors below the balanced-capacity bound and merging into
       occupied ones only when the machine is full;
-    - re-routes {e every} phase with MM-Route on the degraded topology,
-      since even unmoved traffic may have crossed a now-dead link;
-    - revalidates the result (no dead placements, consistent routes).
+    - re-routes {e every} phase on the degraded topology through
+      {!Pipeline.route}, since even unmoved traffic may have crossed a
+      now-dead link, and revalidates the result (no dead placements,
+      consistent routes).
 
     Pricing the recovery as migration traffic lives one layer up, in
     [Remap] / [Netsim], which can simulate the move messages. *)
@@ -28,25 +29,26 @@ type t = {
 val moved : t -> int
 
 val repair :
-  ?cap:int ->
-  ?constraints:Constraints.spec ->
+  ?options:Ctx.options ->
   ?allowed:(int -> bool) ->
   Mapping.t ->
   Oregami_topology.Topology.t ->
   (t, string) result
 (** [repair m degraded] repairs [m] against the degraded view of its
-    topology.  [cap] bounds candidate routes per processor pair for
-    MM-Route (default 64).  Errors when the processor counts disagree,
-    when nothing survives, or when the repaired mapping fails
-    validation (e.g. the surviving machine is partitioned and a phase
-    cannot be routed).
+    topology.  Errors when the processor counts disagree, when nothing
+    survives, or when the repaired mapping fails validation (e.g. the
+    surviving machine is partitioned and a phase cannot be routed).
 
-    [constraints] (default {!Constraints.none}) is recompiled against
-    the {e degraded} machine: a pinned task whose processor died makes
-    the repair refuse with a named reason instead of evacuating the
-    task somewhere it must not run, evacuation only considers survivors
-    the shared {!Constraints.feasible} predicate accepts, and the
-    repaired mapping passes the DRC.
+    [options] (default {!Ctx.default_options}) are honoured as a
+    mapping run on the degraded machine honours them: the repaired
+    assignment is routed by {!Pipeline.route} with their routing
+    choice, route cap, jobs and budget — under [Auto], coarse routing
+    above [multilevel_threshold] tasks — and their constraints are
+    compiled against the {e degraded} machine: a pinned task whose
+    processor died makes the repair refuse with a named reason instead
+    of evacuating the task somewhere it must not run, evacuation only
+    considers survivors the shared {!Constraints.feasible} predicate
+    accepts, and the repaired mapping passes the DRC.
 
     [allowed] (default everything) restricts evacuation targets to a
     region of the machine — a multi-tenant cluster passes the job's

@@ -365,24 +365,12 @@ let stone_produce ctx =
       Stone.recursive_bisection ~budget:ctx.Ctx.budget ~procs ~cost
         ~comm:(Ctx.static ctx) ()
     in
-    (* dense cluster ids, numbered by smallest member *)
-    let ids = Hashtbl.create 16 in
-    let cluster_of =
-      Array.map
-        (fun p ->
-          match Hashtbl.find_opt ids p with
-          | Some c -> c
-          | None ->
-            let c = Hashtbl.length ids in
-            Hashtbl.add ids p c;
-            c)
-        proc_of_task
-    in
+    let cluster_of, procs_used = Mapping.clusters proc_of_task in
     Ok
       [
         {
           label = "stone+nn";
-          clusters = Hashtbl.length ids;
+          clusters = Array.length procs_used;
           cluster_of;
           placement = Embed;
         };

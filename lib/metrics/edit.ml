@@ -1,28 +1,14 @@
 module Mapping = Oregami_mapper.Mapping
-module Route = Oregami_mapper.Route
+module Ctx = Oregami_mapper.Ctx
+module Pipeline = Oregami_mapper.Pipeline
 module Topology = Oregami_topology.Topology
 module Routes = Oregami_topology.Routes
 
 let with_suffix m = if String.length m.Mapping.strategy > 5 && String.sub m.Mapping.strategy (String.length m.Mapping.strategy - 5) 5 = "+edit" then m.Mapping.strategy else m.Mapping.strategy ^ "+edit"
 
-let rebuild (m : Mapping.t) cluster_of proc_of_cluster =
-  let proc_of_task =
-    Array.init m.Mapping.tg.Oregami_taskgraph.Taskgraph.n (fun t ->
-        proc_of_cluster.(cluster_of.(t)))
-  in
-  let routings, _ = Route.mm_route m.Mapping.tg m.Mapping.topo ~proc_of_task in
-  let candidate =
-    {
-      m with
-      Mapping.cluster_of;
-      proc_of_cluster;
-      routings;
-      strategy = with_suffix m;
-    }
-  in
-  match Mapping.validate candidate with
-  | Ok () -> Ok candidate
-  | Error e -> Error e
+(* re-route the edited placement the way a fresh mapping is routed *)
+let rebuild (m : Mapping.t) clustering =
+  Pipeline.route (Ctx.of_taskgraph m.Mapping.tg m.Mapping.topo) (with_suffix m) clustering
 
 let move_task (m : Mapping.t) ~task ~proc =
   let n = m.Mapping.tg.Oregami_taskgraph.Taskgraph.n in
@@ -36,20 +22,7 @@ let move_task (m : Mapping.t) ~task ~proc =
       (* recluster from the assignment: clusters become the non-empty
          processors, so singleton moves stay simple *)
       assignment.(task) <- proc;
-      let procs = Topology.node_count m.Mapping.topo in
-      let cluster_ids = Array.make procs (-1) in
-      let next = ref 0 in
-      Array.iter
-        (fun p ->
-          if cluster_ids.(p) = -1 then begin
-            cluster_ids.(p) <- !next;
-            incr next
-          end)
-        assignment;
-      let cluster_of = Array.map (fun p -> cluster_ids.(p)) assignment in
-      let proc_of_cluster = Array.make !next 0 in
-      Array.iteri (fun p c -> if c >= 0 then proc_of_cluster.(c) <- p) cluster_ids;
-      rebuild m cluster_of proc_of_cluster
+      rebuild m (Mapping.clusters assignment)
     end
   end
 
@@ -62,7 +35,7 @@ let swap_processors (m : Mapping.t) a b =
         (fun p -> if p = a then b else if p = b then a else p)
         m.Mapping.proc_of_cluster
     in
-    rebuild m (Array.copy m.Mapping.cluster_of) proc_of_cluster
+    rebuild m (Array.copy m.Mapping.cluster_of, proc_of_cluster)
   end
 
 let reroute_edge (m : Mapping.t) ~phase ~src ~dst ~path =

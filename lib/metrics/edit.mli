@@ -7,8 +7,10 @@ val move_task :
   Oregami_mapper.Mapping.t -> task:int -> proc:int -> (Oregami_mapper.Mapping.t, string) result
 (** Moves one task to the cluster living on the target processor (a new
     cluster is created when that processor is empty); all phases are
-    re-routed with MM-Route.  The strategy tag gains a ["+edit"]
-    suffix. *)
+    re-routed and validated by {!Oregami_mapper.Pipeline.route} under
+    default options, as a fresh mapping would be — so an edit that
+    breaks a program-declared [requires] class is refused by name.
+    The strategy tag gains a ["+edit"] suffix. *)
 
 val swap_processors :
   Oregami_mapper.Mapping.t -> int -> int -> (Oregami_mapper.Mapping.t, string) result

@@ -143,7 +143,21 @@ let test_parsers () =
   | Ok _ -> Alcotest.fail "bad verb accepted");
   (match Cluster.parse_trace_line 1 "# comment" with
   | Ok None -> ()
-  | _ -> Alcotest.fail "comment not skipped")
+  | _ -> Alcotest.fail "comment not skipped");
+  (* arrival options follow the request-line grammar of serve *)
+  (match Cluster.parse_trace_line 2 "arrive a synth:grid:8:1 procs=4 skip=mem," with
+  | Ok (Some (Cluster.Arrive a)) ->
+    Alcotest.(check (list string)) "empty skip class dropped" [ "mem" ]
+      a.Cluster.ar_constraints.Mapper.Constraints.skip_classes
+  | Ok _ | Error _ -> Alcotest.fail "trailing comma in skip= refused");
+  let served =
+    match Service.parse_request ~id:1 "jacobi torus:4x4 pin=0:1 pin=0:2" with
+    | Error e -> e
+    | Ok _ -> Alcotest.fail "serve accepted a duplicate pin"
+  in
+  match Cluster.parse_trace_line 3 "arrive a synth:grid:8:1 pin=0:1 pin=0:2" with
+  | Error e -> Alcotest.(check string) "duplicate key, as serve names it" ("line 3: " ^ served) e
+  | Ok _ -> Alcotest.fail "duplicate pin accepted"
 
 let test_run_with_chaos_schedule () =
   let machine = topo "torus:4x4" in

@@ -161,7 +161,8 @@ let test_repair_refuses_dead_pin () =
   let m = Result.get_ok (map_with ~spec tg t) in
   let faults = Result.get_ok (Faults.make ~procs:[ 3 ] ~links:[] t) in
   let view = Result.get_ok (Faults.degrade t faults) in
-  match Repair.repair ~constraints:spec m view.Faults.topo with
+  let options = { Ctx.default_options with Ctx.constraints = spec } in
+  match Repair.repair ~options m view.Faults.topo with
   | Ok _ -> Alcotest.fail "repair moved a pinned task off its dead processor"
   | Error e ->
     if not (contains ~sub:"pin" e) then
@@ -210,7 +211,8 @@ let prop_repair_respects_constraints =
       | Ok m -> begin
         let faults = Result.get_ok (Faults.make ~procs:[ dead ] ~links:[] t) in
         let view = Result.get_ok (Faults.degrade t faults) in
-        match Repair.repair ~constraints:spec m view.Faults.topo with
+        let options = { Ctx.default_options with Ctx.constraints = spec } in
+        match Repair.repair ~options m view.Faults.topo with
         | Error e -> QCheck.Test.fail_reportf "repair failed: %s" e
         | Ok r ->
           let a = Mapping.assignment r.Repair.rp_mapping in

@@ -376,6 +376,10 @@ let test_cluster_verb () =
       say c "cluster torus:4x4 synth:nope";
       Alcotest.(check bool) "bad trace spec named" true
         (contains (hear c) "error");
+      (* the same synth:EVENTS[:SEED] grammar as the cluster command *)
+      say c "cluster torus:4x4 synth:5:";
+      Alcotest.(check bool) "trailing colon refused by name" true
+        (contains (hear c) "bad synth trace \"synth:5:\"");
       hangup c)
 
 let () =

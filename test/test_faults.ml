@@ -191,14 +191,14 @@ let test_repair_vs_remap () =
      than mapping the degraded machine from scratch *)
   Alcotest.(check bool)
     (Printf.sprintf "repair moves %d < remap moves %d" (Repair.moved repair)
-       r.Remap.rc_remap_moved)
+       r.Remap.rc_remap_bill.Remap.b_moved)
     true
-    (Repair.moved repair < r.Remap.rc_remap_moved);
+    (Repair.moved repair < r.Remap.rc_remap_bill.Remap.b_moved);
   Alcotest.(check bool) "repair moved someone" true (Repair.moved repair > 0);
   (* both transitions are priced with the same migration model; moving
      anything costs network time *)
-  Alcotest.(check bool) "repair migration priced" true (r.Remap.rc_repair_migration > 0);
-  Alcotest.(check bool) "remap migration priced" true (r.Remap.rc_remap_migration > 0)
+  Alcotest.(check bool) "repair migration priced" true (r.Remap.rc_repair_bill.Remap.b_migration > 0);
+  Alcotest.(check bool) "remap migration priced" true (r.Remap.rc_remap_bill.Remap.b_migration > 0)
 
 let test_netsim_fault_event () =
   let base, _, _ = acceptance_view () in
@@ -224,6 +224,59 @@ let test_netsim_fault_event () =
   let lm = get (Driver.map_taskgraph (Workloads.compile_exn (Workloads.nbody ~n:4 ~s:1)).Larcs.Compile.graph line) in
   expect_error "disconnecting fault" (fun e -> contains e "partition")
     (Netsim.run_with_fault lm { Netsim.at_slot = 0; kill_procs = [ 1 ]; kill_links = [] })
+
+(* repair routes through the same entry point as a mapping run, so
+   the routing option reaches it *)
+let test_repair_honours_routing () =
+  let base, _, view = acceptance_view () in
+  let compiled = Workloads.compile_exn (Workloads.nbody ~n:16 ~s:2) in
+  let m = get (Driver.map_compiled compiled base) in
+  let options = { Driver.default_options with Driver.routing = Driver.Oblivious } in
+  let r = get (Repair.repair ~options m view.Faults.topo) in
+  let repaired = r.Repair.rp_mapping in
+  let oblivious =
+    Mapper.Route.deterministic_route repaired.Mapping.tg view.Faults.topo
+      ~proc_of_task:(Mapping.assignment repaired)
+  in
+  Alcotest.(check bool) "oblivious routes" true (repaired.Mapping.routings = oblivious);
+  Alcotest.(check bool) "validates" true (Mapping.validate repaired = Ok ())
+
+(* above the multilevel threshold, [Auto] repairs with coarse routing
+   as the mapping itself does *)
+let test_large_repair_routes_coarse () =
+  let base = topo_of "torus:8x8" in
+  let tg = get (Synth.build "synth:grid:4096") in
+  let m = get (Driver.map_taskgraph tg base) in
+  let view = get (Faults.degrade base (get (Faults.make ~procs:[ 9 ] base))) in
+  let r = get (Repair.repair m view.Faults.topo) in
+  let repaired = r.Repair.rp_mapping in
+  Alcotest.(check bool) "validates" true (Mapping.validate repaired = Ok ());
+  Alcotest.(check bool) "evacuated proc 9" true
+    (Repair.moved r > 0
+    && List.for_all (fun mv -> mv.Repair.mv_from = 9) r.Repair.rp_moves);
+  let coarse, _ =
+    Mapper.Route.coarse_route tg view.Faults.topo ~proc_of_task:(Mapping.assignment repaired)
+  in
+  Alcotest.(check bool) "coarse routes" true (repaired.Mapping.routings = coarse)
+
+let prop_clusters =
+  QCheck.Test.make ~name:"Mapping.clusters numbers clusters in first-use order" ~count:200
+    QCheck.(array_of_size Gen.(0 -- 60) (int_bound 15))
+    (fun assignment ->
+      let cluster_of, proc_of_cluster = Mapping.clusters assignment in
+      let opened = ref 0 in
+      Array.iteri
+        (fun t c ->
+          if c = !opened then incr opened
+          else if c > !opened then
+            QCheck.Test.fail_reportf "task %d opens cluster %d before cluster %d" t c !opened;
+          if proc_of_cluster.(c) <> assignment.(t) then
+            QCheck.Test.fail_reportf "task %d: cluster %d is on %d, not %d" t c
+              proc_of_cluster.(c) assignment.(t))
+        cluster_of;
+      Array.length cluster_of = Array.length assignment
+      && Array.length proc_of_cluster = !opened
+      && List.length (List.sort_uniq compare (Array.to_list proc_of_cluster)) = !opened)
 
 let test_incremental_and_routes_degraded () =
   let base = topo_of "hypercube:3" in
@@ -347,5 +400,9 @@ let () =
         [
           Alcotest.test_case "repair vs remap" `Quick test_repair_vs_remap;
           Alcotest.test_case "mid-trace fault event" `Quick test_netsim_fault_event;
+          Alcotest.test_case "repair honours routing" `Quick test_repair_honours_routing;
+          Alcotest.test_case "large repair routes coarse" `Quick
+            test_large_repair_routes_coarse;
+          QCheck_alcotest.to_alcotest prop_clusters;
         ] );
     ]
