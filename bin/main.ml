@@ -4,26 +4,6 @@
 open Cmdliner
 open Oregami
 
-let read_source = Service.load_program
-
-let parse_binding s =
-  match String.split_on_char '=' s with
-  | [ k; v ] -> begin
-    match int_of_string_opt v with
-    | Some v -> Ok (k, v)
-    | None -> Error (Printf.sprintf "bad parameter value in %S" s)
-  end
-  | _ -> Error (Printf.sprintf "bad parameter %S (want name=value)" s)
-
-let collect_bindings raw =
-  List.fold_left
-    (fun acc s ->
-      match (acc, parse_binding s) with
-      | Ok l, Ok kv -> Ok (kv :: l)
-      | (Error _ as e), _ -> e
-      | _, (Error _ as e) -> (match e with Ok _ -> assert false | Error m -> Error m))
-    (Ok []) raw
-
 let die ?(code = 1) m =
   Printf.eprintf "oregami: %s\n" m;
   exit code
@@ -32,11 +12,12 @@ let or_die = function Ok v -> v | Error m -> die m
 
 (* common args *)
 let input_arg =
-  let doc = "LaRCS source file, or a built-in workload name (see $(b,workloads))." in
+  let doc = "LaRCS source file, built-in workload name (see $(b,workloads)), or \
+             $(b,synth:FAMILY:N[:SEED]) spec." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM" ~doc)
 
 let params_arg =
-  let doc = "Bind an algorithm parameter, e.g. $(b,-p n=15).  Repeatable." in
+  let doc = "Bind an algorithm parameter, e.g. $(b,-p n=15).  Repeatable, each name once." in
   Arg.(value & opt_all string [] & info [ "p"; "param" ] ~docv:"NAME=VALUE" ~doc)
 
 let topo_arg =
@@ -51,14 +32,26 @@ let topo_arg =
 
 let target_topology topo = or_die (Topology.of_string topo)
 
-let routing_arg =
-  let doc =
-    "Routing algorithm: $(b,mm-route) (per-message MM-Route), $(b,oblivious) \
-     (the topology's deterministic single-path scheme), $(b,coarse) \
-     (traffic-aggregated MM-Route for large graphs), or $(b,auto) (the \
-     default: mm-route up to the multilevel threshold, coarse above)."
+(* the mapping options: one repeatable flag per entry of the
+   request-option table, whose values reach the same setter as a
+   request line's KEY=VALUE.  Errors wait until the command asks for
+   the options, so they keep their place among its other checks. *)
+let options_arg keys =
+  let flag (k : Service.key) =
+    let doc =
+      if k.Service.k_list then k.Service.k_doc ^ "  Repeatable; the values join with commas."
+      else k.Service.k_doc
+    in
+    Arg.(value & opt_all string [] & info [ k.Service.k_flag ] ~docv:k.Service.k_docv ~doc)
   in
-  Arg.(value & opt string "auto" & info [ "routing" ] ~docv:"ALG" ~doc)
+  Term.(
+    const (Service.apply_flags Driver.default_options)
+    $ List.fold_right
+        (fun k rest -> const (fun vs rest -> (k, vs) :: rest) $ flag k $ rest)
+        keys (const []))
+
+(* render, routes, simulate and aggregate take only the routing key *)
+let routing_key = options_arg (List.filter (fun k -> k.Service.k_name = "routing") Service.keys)
 
 let route_jobs_arg =
   let doc =
@@ -123,85 +116,31 @@ let degraded_target topology faults =
     (view.Faults.topo, faults)
   end
 
-let load ~input ~params =
-  (* a missing or unreadable program file is a usage error: exit 2 *)
-  let source, default_bindings =
-    match read_source input with Ok v -> v | Error m -> die ~code:2 m
-  in
-  let bindings = or_die (collect_bindings params) in
-  (source, Service.merge_bindings bindings ~defaults:default_bindings)
+(* -p NAME=VALUE in the request line's key grammar: a repeated name is a
+   duplicate key.  Latest first, the order dump has always shown. *)
+let bindings params =
+  or_die
+    (Service.fold_keys
+       (fun acc k v -> Result.map (fun b -> b :: acc) (Service.binding k v))
+       [] params)
+
+(* a missing file or a malformed synth: spec names no program at all,
+   a usage error (exit 2); a program that does not compile exits 1 *)
+let program ~input ~params =
+  let source = match Service.source input with Ok s -> s | Error m -> die ~code:2 m in
+  or_die (Service.build ~bindings:(bindings params) source)
 
 let compile ~input ~params =
-  let source, bindings = load ~input ~params in
-  or_die (Larcs.Compile.compile_source ~bindings source)
+  match (program ~input ~params).Service.compiled with
+  | Some c -> c
+  | None -> die ~code:2 (input ^ ": a synthetic task graph has no LaRCS program")
 
-let options_of ~routing ~only ~exclude =
-  let routing = or_die (Ctx.routing_of_string routing) in
-  { Driver.default_options with Driver.routing; Driver.only; Driver.exclude }
-
-let mapping_of ~input ~params ~topo ~routing =
-  let compiled = compile ~input ~params in
+let mapping_of ~input ~params ~topo ~options =
+  let program = program ~input ~params in
   let topology = target_topology topo in
-  let options = options_of ~routing ~only:[] ~exclude:[] in
-  (or_die (Driver.map_compiled ~options compiled topology), compiled)
-
-(* placement-constraint args (see Mapper.Constraints) *)
-let pin_arg =
-  let doc = "Pin a task to a processor, e.g. $(b,--pin 3=0).  Repeatable." in
-  Arg.(value & opt_all string [] & info [ "pin" ] ~docv:"TASK=PROC" ~doc)
-
-let forbid_arg =
-  let doc = "Forbid a task from a processor, e.g. $(b,--forbid 3=0).  Repeatable." in
-  Arg.(value & opt_all string [] & info [ "forbid" ] ~docv:"TASK=PROC" ~doc)
-
-let require_arg =
-  let doc =
-    "Require a task to land on a processor of this capability class (see the \
-     $(b,classes=) topology suffix), e.g. $(b,--require 3=mem).  Overrides \
-     the program's $(b,requires) annotation.  Repeatable."
-  in
-  Arg.(value & opt_all string [] & info [ "require" ] ~docv:"TASK=CLASS" ~doc)
-
-let skip_class_arg =
-  let doc =
-    "Exclude every processor of this capability class from placement (they \
-     still route traffic).  Repeatable."
-  in
-  Arg.(value & opt_all string [] & info [ "skip-class" ] ~docv:"CLASS" ~doc)
-
-let constraints_of ~pins ~forbids ~requires ~skip_classes =
-  let joined l = String.concat "," l in
-  {
-    Mapper.Constraints.pins = or_die (Mapper.Constraints.parse_pins (joined pins));
-    forbids = or_die (Mapper.Constraints.parse_forbids (joined forbids));
-    requires = or_die (Mapper.Constraints.parse_requires (joined requires));
-    skip_classes = List.filter (fun c -> c <> "") skip_classes;
-  }
-
-let multilevel_threshold_arg =
-  let doc =
-    "Task count beyond which the flat strategies stand aside for the \
-     multilevel coarsen/map/refine tier."
-  in
-  Arg.(value
-       & opt int Mapper.Multilevel.flat_sweet_spot
-       & info [ "multilevel-threshold" ] ~docv:"N" ~doc)
-
-(* budget / anytime args *)
-let fuel_arg =
-  let doc =
-    "Abstract work-unit budget for the whole pipeline run (deterministic \
-     across machines).  When it runs out the passes stop early and the best \
-     partial mapping is returned, tagged as degraded."
-  in
-  Arg.(value & opt (some int) None & info [ "fuel" ] ~docv:"UNITS" ~doc)
-
-let deadline_arg =
-  let doc =
-    "Monotonic wall-clock deadline in milliseconds, measured from the start \
-     of the run.  Like $(b,--fuel), expiry yields the best partial mapping."
-  in
-  Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
+  let options = or_die options in
+  let ctx = Service.context ~options program topology in
+  (or_die (Result.map fst (Driver.run ctx)), options)
 
 let fallback_arg =
   let doc =
@@ -214,7 +153,7 @@ let fallback_arg =
 let parse_cmd =
   let run input =
     let source, _ =
-      match read_source input with Ok v -> v | Error m -> die ~code:2 m
+      match Service.load_program input with Ok v -> v | Error m -> die ~code:2 m
     in
     let p = or_die (Larcs.Parser.parse source) in
     print_string (Larcs.Pretty.program p)
@@ -242,45 +181,33 @@ let analyze_cmd =
     Term.(const run $ input_arg $ params_arg)
 
 let map_cmd =
-  let run input params topo routing jobs only exclude explain kill_procs
-      kill_links fault_seed fuel deadline_ms fallback pins forbids requires
-      skip_classes multilevel_threshold =
+  let run input params topo options jobs explain kill_procs kill_links
+      fault_seed fallback =
     if jobs < 1 then die ~code:2 "--jobs must be at least 1";
     let topology = target_topology topo in
     let faults = fault_set ~kill_procs ~kill_links ~fault_seed topology in
     let topology, faults = degraded_target topology faults in
-    let constraints = constraints_of ~pins ~forbids ~requires ~skip_classes in
+    let options = or_die options in
+    let constraints = options.Driver.constraints in
     let options =
-      { (options_of ~routing ~only ~exclude) with
+      { options with
         Driver.jobs;
-        Driver.fuel;
-        Driver.deadline_ms;
         (* any budget implies the anytime contract: always answer *)
-        Driver.fallback = fallback || fuel <> None || deadline_ms <> None;
-        Driver.constraints;
-        Driver.multilevel_threshold;
+        Driver.fallback =
+          fallback || options.Driver.fuel <> None || options.Driver.deadline_ms <> None;
       }
     in
-    let outcome =
-      if Synth.is_spec input then begin
-        (* synthetic instances skip LaRCS entirely: build the task
-           graph directly, at sizes the parser could never reach *)
-        let tg = match Synth.build input with Ok tg -> tg | Error m -> die ~code:2 m in
-        Driver.report_taskgraph ~options ~faults tg topology
-      end
-      else
-        let compiled = compile ~input ~params in
-        Driver.report ~options ~faults compiled topology
-    in
-    match outcome with
-    | Error e, stats ->
+    let ctx = Service.context ~options ~faults (program ~input ~params) topology in
+    let stats = ctx.Ctx.stats in
+    match Driver.run ctx with
+    | Error e ->
       Printf.eprintf "oregami: %s\n" e;
       List.iter
         (fun (strategy, reason) ->
           Printf.eprintf "oregami:   %s: %s\n" strategy reason)
         (Stats.rejections stats);
       exit 1
-    | Ok m, stats ->
+    | Ok (m, _) ->
       Format.printf "%a@.@." Mapping.pp m;
       let degradation =
         match Stats.degradation stats with
@@ -314,17 +241,6 @@ let map_cmd =
         print_endline (Stats.to_sexp stats)
       end
   in
-  let only_arg =
-    Arg.(value & opt_all string []
-         & info [ "only" ] ~docv:"STRATEGY"
-             ~doc:"Compete only these registry strategies (repeatable); disables the \
-                   dispatch short-circuit so every named strategy is scored.")
-  in
-  let exclude_arg =
-    Arg.(value & opt_all string []
-         & info [ "exclude" ] ~docv:"STRATEGY"
-             ~doc:"Drop a registry strategy from the selection (repeatable).")
-  in
   let explain_arg =
     Arg.(value & flag
          & info [ "explain" ]
@@ -333,15 +249,13 @@ let map_cmd =
                    s-expression dump.")
   in
   Cmd.v (Cmd.info "map" ~doc:"Map a program onto a topology and report METRICS")
-    Term.(const run $ input_arg $ params_arg $ topo_arg $ routing_arg
-          $ route_jobs_arg $ only_arg $ exclude_arg $ explain_arg
-          $ kill_procs_arg $ kill_links_arg $ fault_seed_arg $ fuel_arg
-          $ deadline_arg $ fallback_arg $ pin_arg $ forbid_arg $ require_arg
-          $ skip_class_arg $ multilevel_threshold_arg)
+    Term.(const run $ input_arg $ params_arg $ topo_arg $ options_arg Service.keys
+          $ route_jobs_arg $ explain_arg $ kill_procs_arg $ kill_links_arg
+          $ fault_seed_arg $ fallback_arg)
 
 let render_cmd =
-  let run input params topo routing svg_path =
-    let m, _ = mapping_of ~input ~params ~topo ~routing in
+  let run input params topo options svg_path =
+    let m, _ = mapping_of ~input ~params ~topo ~options in
     match svg_path with
     | Some path ->
       Svg.save path (Svg.mapping m);
@@ -356,11 +270,11 @@ let render_cmd =
          & info [ "svg" ] ~docv:"FILE" ~doc:"Write an SVG rendering to FILE instead of ASCII.")
   in
   Cmd.v (Cmd.info "render" ~doc:"Render the mapping and link loads (ASCII or SVG)")
-    Term.(const run $ input_arg $ params_arg $ topo_arg $ routing_arg $ svg_arg)
+    Term.(const run $ input_arg $ params_arg $ topo_arg $ routing_key $ svg_arg)
 
 let routes_cmd =
-  let run input params topo routing phase timeline =
-    let m, _ = mapping_of ~input ~params ~topo ~routing in
+  let run input params topo options phase timeline =
+    let m, _ = mapping_of ~input ~params ~topo ~options in
     print_endline (Render.phase_edges m phase);
     if timeline then begin
       print_newline ();
@@ -374,12 +288,12 @@ let routes_cmd =
     Arg.(value & flag & info [ "timeline" ] ~doc:"Also print the per-channel busy timeline.")
   in
   Cmd.v (Cmd.info "routes" ~doc:"Show the routed edges of one communication phase")
-    Term.(const run $ input_arg $ params_arg $ topo_arg $ routing_arg $ phase_arg
+    Term.(const run $ input_arg $ params_arg $ topo_arg $ routing_key $ phase_arg
           $ timeline_arg)
 
 let simulate_cmd =
-  let run input params topo routing fault_at kill_procs kill_links fault_seed =
-    let m, _ = mapping_of ~input ~params ~topo ~routing in
+  let run input params topo options fault_at kill_procs kill_links fault_seed =
+    let m, options = mapping_of ~input ~params ~topo ~options in
     match fault_at with
     | None ->
       let r = Netsim.run m in
@@ -397,7 +311,7 @@ let simulate_cmd =
       let event =
         { Netsim.at_slot; kill_procs = faults.Faults.procs; kill_links = faults.Faults.links }
       in
-      let r = or_die (Netsim.run_with_fault m event) in
+      let r = or_die (Netsim.run_with_fault ~options m event) in
       Printf.printf "fault at slot %d: %s\n\n" at_slot (Faults.describe faults);
       Prelude.Tab.print
         ~header:[ "metric"; "value" ]
@@ -420,12 +334,12 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run the store-and-forward network simulation of the mapping")
-    Term.(const run $ input_arg $ params_arg $ topo_arg $ routing_arg $ fault_at_arg
+    Term.(const run $ input_arg $ params_arg $ topo_arg $ routing_key $ fault_at_arg
           $ kill_procs_arg $ kill_links_arg $ fault_seed_arg)
 
 let aggregate_cmd =
-  let run input params topo routing phase =
-    let m, _ = mapping_of ~input ~params ~topo ~routing in
+  let run input params topo options phase =
+    let m, _ = mapping_of ~input ~params ~topo ~options in
     match Oregami.Mapper.Aggregate.replan_phase m ~phase with
     | Error e -> or_die (Error e)
     | Ok m2 ->
@@ -452,13 +366,13 @@ let aggregate_cmd =
   Cmd.v
     (Cmd.info "aggregate"
        ~doc:"Re-plan an all-to-root phase as a spanning-tree reduction (paper section 6)")
-    Term.(const run $ input_arg $ params_arg $ topo_arg $ routing_arg $ phase_arg)
+    Term.(const run $ input_arg $ params_arg $ topo_arg $ routing_key $ phase_arg)
 
 let remap_cmd =
   let run input params topo =
-    let compiled = compile ~input ~params in
+    let program = program ~input ~params in
     let topology = target_topology topo in
-    match Remap.plan compiled.Larcs.Compile.graph topology with
+    match Remap.plan program.Service.graph topology with
     | Error e -> or_die (Error e)
     | Ok p ->
       Prelude.Tab.print
@@ -490,22 +404,17 @@ remapping %s
     Term.(const run $ input_arg $ params_arg $ topo_arg)
 
 let repair_cmd =
-  let run input params topo kill_procs kill_links fault_seed pins forbids
-      requires skip_classes =
-    let compiled = compile ~input ~params in
+  let run input params topo kill_procs kill_links fault_seed options =
+    let program = program ~input ~params in
     let topology = target_topology topo in
     let faults = fault_set ~kill_procs ~kill_links ~fault_seed topology in
     if Faults.is_empty faults then
       die "nothing to repair (give --kill-procs and/or --kill-links)";
-    let options =
-      { Driver.default_options with
-        Driver.constraints = constraints_of ~pins ~forbids ~requires ~skip_classes;
-      }
-    in
+    let options = or_die options in
     let r =
       or_die
-        (Remap.recover ~options ~compiled compiled.Larcs.Compile.graph topology
-           faults)
+        (Remap.recover ~options ?compiled:program.Service.compiled program.Service.graph
+           topology faults)
     in
     Printf.printf "faults: %s\n\n" (Faults.describe faults);
     Prelude.Tab.print
@@ -542,8 +451,7 @@ let repair_cmd =
        ~doc:"Recover an existing mapping from processor/link failures and compare \
              minimum-disruption repair against a from-scratch remap")
     Term.(const run $ input_arg $ params_arg $ topo_arg $ kill_procs_arg
-          $ kill_links_arg $ fault_seed_arg $ pin_arg $ forbid_arg $ require_arg
-          $ skip_class_arg)
+          $ kill_links_arg $ fault_seed_arg $ options_arg Service.constraint_keys)
 
 let systolic_cmd =
   let run spec max_pes =

@@ -9,7 +9,6 @@ module Repair = Oregami_mapper.Repair
 module Mapping = Oregami_mapper.Mapping
 module Pipeline = Oregami_mapper.Pipeline
 module Netsim = Oregami_metrics.Netsim
-module Synth = Oregami_workloads.Synth
 module Compile = Oregami_larcs.Compile
 module Rng = Oregami_prelude.Rng
 
@@ -623,20 +622,13 @@ let known t name =
   Hashtbl.mem t.leases name
   || List.exists (fun p -> p.p_arrival.ar_name = name) t.queue
 
-(* graph + activation for an arrival: synth spec, workload name, or
-   LaRCS file.  Failures here are permanent — retrying cannot fix a
-   missing program. *)
+(* graph + activation for an arrival.  Failures here are permanent —
+   retrying cannot fix a missing program. *)
 let load_arrival ar =
-  if Synth.is_spec ar.ar_program then
-    let* tg = Synth.build ar.ar_program in
-    Ok (tg, Array.make tg.Taskgraph.n 0)
-  else
-    let* source, defaults = Service.load_program ar.ar_program in
-    let* compiled =
-      Compile.compile_source ~bindings:(Service.merge_bindings ar.ar_bindings ~defaults)
-        source
-    in
-    Ok (compiled.Compile.graph, compiled.Compile.activation)
+  let* p = Result.bind (Service.source ar.ar_program) (Service.build ~bindings:ar.ar_bindings) in
+  match p.Service.compiled with
+  | Some c -> Ok (p.Service.graph, c.Compile.activation)
+  | None -> Ok (p.Service.graph, Array.make p.Service.graph.Taskgraph.n 0)
 
 let arrive t ar =
   if known t ar.ar_name then
@@ -908,32 +900,23 @@ let parse_chaos s =
        (Ok [])
   |> Result.map List.rev
 
-let tokens line =
-  String.split_on_char ' ' line |> List.filter (fun tok -> tok <> "")
-
-let parse_kv tok =
-  match String.index_opt tok '=' with
-  | None -> None
-  | Some eq ->
-    Some
-      ( String.sub tok 0 eq,
-        String.sub tok (eq + 1) (String.length tok - eq - 1) )
-
-(* the request-line grammar of serve and the daemon, plus [procs=N] *)
+(* the constraint keys of serve's request-option table, plus [procs=N];
+   any other integer key binds a program parameter *)
 let parse_arrival name program opts =
   Service.fold_keys
     (fun ar k v ->
-      match Service.constraint_key ar.ar_constraints k v with
-      | Some spec -> Result.map (fun ar_constraints -> { ar with ar_constraints }) spec
-      | None -> (
-        match k with
-        | "procs" -> (
-          match int_of_string_opt v with
-          | Some n when n > 0 -> Ok { ar with ar_procs = Some n }
-          | _ -> Error (Printf.sprintf "bad procs %S" v))
-        | _ ->
-          let* b = Service.binding k v in
-          Ok { ar with ar_bindings = ar.ar_bindings @ [ b ] }))
+      match List.find_opt (fun key -> key.Service.k_name = k) Service.constraint_keys with
+      | Some key ->
+        let o = { Ctx.default_options with Ctx.constraints = ar.ar_constraints } in
+        let constraints (o : Ctx.options) = { ar with ar_constraints = o.constraints } in
+        Result.map constraints (key.Service.k_set o v)
+      | None when k = "procs" -> (
+        match int_of_string_opt v with
+        | Some n when n > 0 -> Ok { ar with ar_procs = Some n }
+        | _ -> Error (Printf.sprintf "bad procs %S" v))
+      | None ->
+        let* b = Service.binding k v in
+        Ok { ar with ar_bindings = ar.ar_bindings @ [ b ] })
     {
       ar_name = name;
       ar_program = program;
@@ -943,22 +926,17 @@ let parse_arrival name program opts =
     }
     opts
 
+(* [procs=IDS] and [links=IDS] in the request-line key grammar *)
 let parse_fault_opts verb opts =
   let* procs, links =
-    List.fold_left
-      (fun acc tok ->
-        let* procs, links = acc in
-        match parse_kv tok with
-        | Some ("procs", v) ->
-          let* p = Faults.parse_ids v in
-          Ok (procs @ p, links)
-        | Some ("links", v) ->
-          let* l = Faults.parse_ids v in
-          Ok (procs, links @ l)
-        | _ ->
-          Error (Printf.sprintf "bad %s option %S (want procs=IDS or links=IDS)" verb tok))
-      (Ok ([], []))
-      opts
+    Service.fold_keys
+      (fun (procs, links) k v ->
+        let ids = Result.map_error (Printf.sprintf "bad %s %s %S: %s" verb k v) in
+        match k with
+        | "procs" -> Result.map (fun procs -> (procs, links)) (ids (Faults.parse_ids v))
+        | "links" -> Result.map (fun links -> (procs, links)) (ids (Faults.parse_ids v))
+        | _ -> Error (Printf.sprintf "unknown %s key %S (want procs=IDS or links=IDS)" verb k))
+      ([], []) opts
   in
   if procs = [] && links = [] then
     Error (Printf.sprintf "%s needs procs=IDS and/or links=IDS" verb)
@@ -970,7 +948,7 @@ let parse_trace_line lineno line =
   if line = "" || line.[0] = '#' then Ok None
   else
     Result.map_error at_line
-      (match tokens line with
+      (match Service.tokens line with
       | "arrive" :: name :: program :: opts ->
         Result.map (fun ar -> Some (Arrive ar)) (parse_arrival name program opts)
       | [ "depart"; name ] -> Ok (Some (Depart name))

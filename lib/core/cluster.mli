@@ -35,8 +35,8 @@
 type arrival = {
   ar_name : string;  (** job name, unique among live + queued jobs *)
   ar_program : string;
-      (** [synth:FAMILY:N[:SEED]] spec, or a built-in workload name or
-          LaRCS source file (the {!Service.load_program} universe) *)
+      (** anything {!Service.source} accepts: a [synth:FAMILY:N[:SEED]]
+          spec, a built-in workload name, or a LaRCS source file *)
   ar_procs : int option;
       (** requested region size; default [⌈tasks/2⌉], clamped to the
           machine *)
@@ -155,9 +155,11 @@ val parse_trace_line : int -> string -> (event option, string) result
 depart JOB
 kill [procs=IDS] [links=IDS]
 revive [procs=IDS] [links=IDS] v}
-    An arrival's options follow {!Service.parse_request}'s grammar
-    ({!Service.fold_keys}, {!Service.constraint_key}): a repeated key
-    or a malformed token fails with the same text serve answers. *)
+    Tokens split as a request line's do ({!Service.tokens}).  An
+    arrival's options follow {!Service.parse_request}'s grammar
+    ({!Service.fold_keys} over {!Service.constraint_keys}), and so do
+    [kill]/[revive] options: a repeated key or a malformed token fails
+    with the same text serve answers. *)
 
 val load_trace : string -> (event list, string) result
 (** Parse a trace file, first error wins (with its line number). *)

@@ -239,24 +239,6 @@ let stats_prometheus t =
 (* ------------------------------------------------------------------ *)
 (* the worker side                                                    *)
 
-(* an answered-without-running outcome (reject, timeout): same shape
-   as a mapping error so every client sees one result line per
-   request, whatever happened to it *)
-let refusal ~id ~program ~topology msg =
-  {
-    Service.r_id = id;
-    r_program = program;
-    r_topology = topology;
-    r_ok = false;
-    r_strategy = "-";
-    r_degradation = None;
-    r_completion = None;
-    r_elapsed_ms = 0.0;
-    r_attempts = 0;
-    r_fuel_used = 0;
-    r_error = msg;
-  }
-
 (* a daemon-driven cluster trace is capped so one request line cannot
    pin a worker domain for minutes *)
 let cluster_max_events = 500
@@ -289,6 +271,18 @@ let run_cluster ~jc_topo ~jc_trace ~jc_chaos =
        r.Cluster.rp_repacks r.Cluster.rp_migration_total
        r.Cluster.rp_chaos_applied r.Cluster.rp_chaos_refused)
 
+(* the [cluster] verb's arguments: a key=value tail whose only key is
+   chaos, so a stray token is a named error, not a mapping request *)
+let parse_cluster = function
+  | topo :: trace :: rest ->
+    Service.fold_keys
+      (fun _ k v ->
+        if k = "chaos" then Ok (Some v)
+        else Error (Printf.sprintf "unknown key %S (want chaos=SPEC)" k))
+      None rest
+    |> Result.map (fun chaos -> (topo, trace, chaos))
+  | _ -> Error "want cluster TOPO synth:EVENTS[:SEED] [chaos=SPEC]"
+
 let run_job t job =
   let cl = job.j_client in
   match job.j_kind with
@@ -300,7 +294,7 @@ let run_job t job =
       | Ok line -> line
       | Error e ->
         Service.render t.cfg.d_format
-          (refusal ~id:jc_id ~program:"cluster" ~topology:jc_topo
+          (Service.refusal ~id:jc_id ~program:"cluster" ~topology:jc_topo
              ("cluster: " ^ e))
     in
     record_latency t (Clock.elapsed_ms job.j_admit);
@@ -313,24 +307,17 @@ let run_job t job =
     | Jsleep (id, ms) ->
       Unix.sleepf (ms /. 1e3);
       {
-        Service.r_id = id;
-        r_program = "sleep";
-        r_topology = Printf.sprintf "%.0f" ms;
-        r_ok = true;
-        r_strategy = "-";
-        r_degradation = None;
-        r_completion = None;
+        (Service.refusal ~id ~program:"sleep" ~topology:(Printf.sprintf "%.0f" ms) "") with
+        Service.r_ok = true;
         r_elapsed_ms = Clock.elapsed_ms job.j_admit;
         r_attempts = 1;
-        r_fuel_used = 0;
-        r_error = "";
       }
     | Jrun req -> begin
       let waited_ms = Clock.elapsed_ms job.j_admit in
       match t.cfg.d_timeout_ms with
       | Some tmo when waited_ms >= tmo ->
         (* dead on arrival: queueing ate the whole budget *)
-        refusal ~id:req.Service.rq_id ~program:req.Service.rq_program
+        Service.refusal ~id:req.Service.rq_id ~program:req.Service.rq_program
           ~topology:req.Service.rq_topology
           (Printf.sprintf "timeout: queued %.0f ms (timeout %.0f ms)"
              waited_ms tmo)
@@ -369,37 +356,26 @@ let run_job t job =
    over-ask by name; a clamped request still runs *)
 let apply_quota cfg req =
   let ( let* ) = Result.bind in
+  let capped name show cap v =
+    match (cap, v) with
+    | Some cap, None -> Ok (Some cap)
+    | Some cap, Some v when v > cap ->
+      Error (Printf.sprintf "quota: %s=%s exceeds cap %s" name (show v) (show cap))
+    | _, v -> Ok v
+  in
   let o = req.Service.rq_options in
-  let* fuel =
-    match (cfg.d_fuel_cap, o.Ctx.fuel) with
-    | None, f -> Ok f
-    | Some cap, None -> Ok (Some cap)
-    | Some cap, Some f ->
-      if f > cap then
-        Error (Printf.sprintf "quota: fuel=%d exceeds cap %d" f cap)
-      else Ok (Some f)
+  let* fuel = capped "fuel" string_of_int cfg.d_fuel_cap o.Ctx.fuel in
+  let* deadline_ms =
+    capped "deadline-ms" (Printf.sprintf "%g") cfg.d_deadline_cap_ms o.Ctx.deadline_ms
   in
-  let* deadline =
-    match (cfg.d_deadline_cap_ms, o.Ctx.deadline_ms) with
-    | None, d -> Ok d
-    | Some cap, None -> Ok (Some cap)
-    | Some cap, Some d ->
-      if d > cap then
-        Error (Printf.sprintf "quota: deadline-ms=%g exceeds cap %g" d cap)
-      else Ok (Some d)
-  in
-  Ok
-    {
-      req with
-      Service.rq_options = { o with Ctx.fuel; Ctx.deadline_ms = deadline };
-    }
+  Ok { req with Service.rq_options = { o with Ctx.fuel; Ctx.deadline_ms } }
 
 (* reader-side replies for refused work: no pending slot was taken *)
 let refuse t cl ~shed ~id ~program ~topology msg =
   Mutex.lock t.lock;
   if shed then t.shed <- t.shed + 1 else t.quota_rejects <- t.quota_rejects + 1;
   Mutex.unlock t.lock;
-  send cl (Service.render t.cfg.d_format (refusal ~id ~program ~topology msg))
+  send cl (Service.render t.cfg.d_format (Service.refusal ~id ~program ~topology msg))
 
 let enqueue t cl ~id ~program ~topology kind =
   let cfg = t.cfg in
@@ -431,16 +407,17 @@ let enqueue t cl ~id ~program ~topology kind =
     end
   end
 
+let malformed t cl line e =
+  cl.c_id <- cl.c_id + 1;
+  Mutex.lock t.lock;
+  t.bad_lines <- t.bad_lines + 1;
+  Mutex.unlock t.lock;
+  send cl (Service.render t.cfg.d_format (Service.malformed ~id:cl.c_id ~line e))
+
 let admit t cl line =
   match Service.parse_request ~id:(cl.c_id + 1) line with
   | Ok None -> ()
-  | Error e ->
-    cl.c_id <- cl.c_id + 1;
-    Mutex.lock t.lock;
-    t.bad_lines <- t.bad_lines + 1;
-    Mutex.unlock t.lock;
-    send cl
-      (Service.render t.cfg.d_format (Service.malformed ~id:cl.c_id ~line e))
+  | Error e -> malformed t cl line e
   | Ok (Some req) -> begin
     cl.c_id <- cl.c_id + 1;
     let program = req.Service.rq_program
@@ -461,10 +438,7 @@ let reader t cl =
      let quit = ref false in
      while not !quit do
        let line = input_line ic in
-       match
-         String.split_on_char ' ' (String.trim line)
-         |> List.filter (fun s -> s <> "")
-       with
+       match Service.tokens (String.trim line) with
        | [ "quit" ] -> quit := true
        | [ "ping" ] -> send cl "pong"
        | [ "stats" ] | [ "stats"; "--format"; "sexp" ] -> send cl (stats_line t)
@@ -472,19 +446,15 @@ let reader t cl =
          send cl (stats_prometheus t)
        | [ "stats"; "--format"; fmt ] ->
          send cl (Printf.sprintf "error unknown stats format %S" fmt)
-       | "cluster" :: topo :: trace :: rest
-         when rest = []
-              || (match rest with
-                 | [ r ] -> String.length r > 6 && String.sub r 0 6 = "chaos="
-                 | _ -> false) ->
-         cl.c_id <- cl.c_id + 1;
-         let chaos =
-           match rest with
-           | [ r ] -> Some (String.sub r 6 (String.length r - 6))
-           | _ -> None
-         in
-         enqueue t cl ~id:cl.c_id ~program:"cluster" ~topology:topo
-           (Jcluster { jc_id = cl.c_id; jc_topo = topo; jc_trace = trace; jc_chaos = chaos })
+       | "cluster" :: args -> begin
+         match parse_cluster args with
+         | Error e -> malformed t cl line ("cluster: " ^ e)
+         | Ok (topo, trace, chaos) ->
+           cl.c_id <- cl.c_id + 1;
+           enqueue t cl ~id:cl.c_id ~program:"cluster" ~topology:topo
+             (Jcluster
+                { jc_id = cl.c_id; jc_topo = topo; jc_trace = trace; jc_chaos = chaos })
+       end
        | [ "sleep"; ms ] when float_of_string_opt ms <> None ->
          (* a queued no-op job: deterministic service time, so tests
             and benchmarks can shape load without touching the mapper *)

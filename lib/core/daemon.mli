@@ -47,7 +47,9 @@
     for tests and benchmarks; and
     [cluster TOPO synth:EVENTS[:SEED] [chaos=SPEC]] queues a bounded
     online-lifecycle run ({!Cluster}) answered as one s-expression
-    summary line. *)
+    summary line; its tail follows the request-line key grammar
+    ({!Service.fold_keys}) with [chaos] as the only key, and anything
+    else is answered as a named [cluster:] error. *)
 
 type listen = Unix_socket of string | Tcp of int
 (** Where to listen: a Unix-domain socket path (replacing a stale

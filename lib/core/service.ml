@@ -1,4 +1,7 @@
 module Topology = Oregami_topology.Topology
+module Taskgraph = Oregami_taskgraph.Taskgraph
+module Compile = Oregami_larcs.Compile
+module Synth = Oregami_workloads.Synth
 module Constraints = Oregami_mapper.Constraints
 module Ctx = Oregami_mapper.Ctx
 module Budget = Oregami_mapper.Budget
@@ -12,6 +15,9 @@ module Clock = Oregami_prelude.Clock
 module Memo = Oregami_prelude.Memo
 module Pool = Oregami_prelude.Pool
 module Rng = Oregami_prelude.Rng
+
+let ( let* ) = Result.bind
+let ( let+ ) r f = Result.map f r
 
 type format = Tsv | Sexp
 
@@ -70,6 +76,144 @@ let load_program path_or_workload =
       Error (Printf.sprintf "%s: truncated read" path_or_workload)
   end
 
+let merge_bindings bindings ~defaults =
+  bindings @ List.filter (fun (k, _) -> not (List.mem_assoc k bindings)) defaults
+
+(* ------------------------------------------------------------------ *)
+(* programs: LaRCS or synthetic                                       *)
+
+type source = Larcs of string * (string * int) list | Synthetic of Taskgraph.t
+
+type program = { graph : Taskgraph.t; compiled : Compile.compiled option }
+
+(* the one place a program argument is told apart: a synth: spec is
+   built straight into a task graph, anything else is LaRCS *)
+let source spec =
+  if Synth.is_spec spec then
+    let+ tg = Synth.build spec in
+    Synthetic tg
+  else
+    let+ text, defaults = load_program spec in
+    Larcs (text, defaults)
+
+let build ?(bindings = []) = function
+  | Synthetic graph -> Ok { graph; compiled = None }
+  | Larcs (text, defaults) ->
+    let+ c = Compile.compile_source ~bindings:(merge_bindings bindings ~defaults) text in
+    { graph = c.Compile.graph; compiled = Some c }
+
+let context ?options ?faults ?breaker p topo =
+  match p.compiled with
+  | Some c -> Ctx.of_compiled ?options ?faults ?breaker c topo
+  | None -> Ctx.of_taskgraph ?options ?faults ?breaker p.graph topo
+
+(* ------------------------------------------------------------------ *)
+(* the request-option table                                           *)
+
+type key = {
+  k_name : string;
+  k_flag : string;
+  k_docv : string;
+  k_doc : string;
+  k_list : bool;
+  k_set : Ctx.options -> string -> (Ctx.options, string) result;
+}
+
+let key ?(flag = "") ?(list = false) name ~docv ~doc set =
+  let k_flag = if flag = "" then name else flag in
+  { k_name = name; k_flag; k_docv = docv; k_doc = doc; k_list = list; k_set = set }
+
+let non_negative name v =
+  match int_of_string_opt v with
+  | Some n when n >= 0 -> Ok n
+  | Some _ | None -> Error (Printf.sprintf "%s wants a non-negative integer, got %S" name v)
+
+let names v = String.split_on_char ',' v |> List.filter (fun n -> n <> "")
+
+let int_key name ~docv ~doc set =
+  key name ~docv ~doc (fun o v -> Result.map (set o) (non_negative name v))
+
+(* placement constraints; on a request line [:] separates inside
+   values since [=] already binds the key, e.g. pin=3:0,7:12 *)
+let constraint_keys =
+  let spec name ?flag ~docv ~doc set =
+    key ?flag ~list:true name ~docv ~doc (fun o v ->
+        let+ constraints = set o.Ctx.constraints v in
+        { o with Ctx.constraints })
+  in
+  [
+    spec "pin" ~docv:"TASK=PROC" ~doc:"Pin a task to a processor, e.g. $(b,--pin 3=0)."
+      (fun c v -> Result.map (fun pins -> { c with Constraints.pins }) (Constraints.parse_pins v));
+    spec "forbid" ~docv:"TASK=PROC"
+      ~doc:"Forbid a task from a processor, e.g. $(b,--forbid 3=0)."
+      (fun c v ->
+        Result.map (fun forbids -> { c with Constraints.forbids }) (Constraints.parse_forbids v));
+    spec "require" ~docv:"TASK=CLASS"
+      ~doc:
+        "Require a task to land on a processor of this capability class (see \
+         the $(b,classes=) topology suffix), e.g. $(b,--require 3=mem).  \
+         Overrides the program's $(b,requires) annotation."
+      (fun c v ->
+        Result.map (fun requires -> { c with Constraints.requires })
+          (Constraints.parse_requires v));
+    spec "skip" ~flag:"skip-class" ~docv:"CLASS"
+      ~doc:
+        "Exclude every processor of this capability class from placement \
+         (they still route traffic)."
+      (fun c v -> Ok { c with Constraints.skip_classes = names v });
+  ]
+
+let keys =
+  [
+    int_key "fuel" ~docv:"UNITS"
+      ~doc:
+        "Abstract work-unit budget for the whole pipeline run (deterministic \
+         across machines).  When it runs out the passes stop early and the \
+         best partial mapping is returned, tagged as degraded."
+      (fun o n -> { o with Ctx.fuel = Some n });
+    key "deadline-ms" ~docv:"MS"
+      ~doc:
+        "Monotonic wall-clock deadline in milliseconds, measured from the \
+         start of the run.  Like $(b,fuel), expiry yields the best partial \
+         mapping."
+      (fun o v ->
+        match float_of_string_opt v with
+        | Some f when f >= 0.0 -> Ok { o with Ctx.deadline_ms = Some f }
+        | Some _ | None ->
+          Error (Printf.sprintf "deadline-ms wants a non-negative number, got %S" v));
+    int_key "seed" ~docv:"N"
+      ~doc:
+        (Printf.sprintf "Seed for the randomized strategies (default %d)."
+           Ctx.default_options.Ctx.seed)
+      (fun o seed -> { o with Ctx.seed });
+    key "routing" ~docv:"ALG"
+      ~doc:
+        "Routing algorithm: $(b,mm-route) (per-message MM-Route; $(b,mm) is \
+         an alias), $(b,oblivious) (the topology's deterministic single-path \
+         scheme), $(b,coarse) (traffic-aggregated MM-Route for large graphs), \
+         or $(b,auto) (the default: mm-route up to the multilevel threshold, \
+         coarse above)."
+      (fun o v -> Result.map (fun routing -> { o with Ctx.routing }) (Ctx.routing_of_string v));
+    key ~list:true "only" ~docv:"STRATEGY"
+      ~doc:
+        "Compete only these registry strategies; disables the dispatch \
+         short-circuit so every named strategy is scored."
+      (fun o v -> Ok { o with Ctx.only = names v });
+    key ~list:true "exclude" ~docv:"STRATEGY"
+      ~doc:"Drop these registry strategies from the selection."
+      (fun o v -> Ok { o with Ctx.exclude = names v });
+    int_key "multilevel-threshold" ~docv:"N"
+      ~doc:
+        (Printf.sprintf
+           "Task count beyond which the flat strategies stand aside for the \
+            multilevel coarsen/map/refine tier (default %d)."
+           Ctx.default_options.Ctx.multilevel_threshold)
+      (fun o multilevel_threshold -> { o with Ctx.multilevel_threshold });
+  ]
+  @ constraint_keys
+
+let find_key k = List.find_opt (fun key -> key.k_name = k) keys
+
 (* ------------------------------------------------------------------ *)
 (* request parsing                                                    *)
 
@@ -81,7 +225,6 @@ let tokens line =
 let default_retries = 2
 
 let fold_keys f init toks =
-  let ( let* ) = Result.bind in
   List.fold_left
     (fun acc tok ->
       let* x, seen = acc in
@@ -100,85 +243,46 @@ let fold_keys f init toks =
     toks
   |> Result.map fst
 
-let names v = String.split_on_char ',' v |> List.filter (fun n -> n <> "")
-
-(* placement constraints; [:] separates inside values since [=]
-   already binds the key, e.g. pin=3:0,7:12 *)
-let constraint_key (spec : Constraints.spec) k v =
-  let ( let+ ) r f = Some (Result.map f r) in
-  match k with
-  | "pin" ->
-    let+ pins = Constraints.parse_pins v in
-    { spec with Constraints.pins }
-  | "forbid" ->
-    let+ forbids = Constraints.parse_forbids v in
-    { spec with Constraints.forbids }
-  | "require" ->
-    let+ requires = Constraints.parse_requires v in
-    { spec with Constraints.requires }
-  | "skip" -> Some (Ok { spec with Constraints.skip_classes = names v })
-  | _ -> None
+let apply_flags base given =
+  let tokens (key, values) =
+    let values =
+      if key.k_list && values <> [] then [ String.concat "," values ] else values
+    in
+    List.map (fun v -> key.k_name ^ "=" ^ v) values
+  in
+  fold_keys
+    (fun o k v ->
+      match find_key k with
+      | Some key -> key.k_set o v
+      | None -> Error (Printf.sprintf "unknown option %S" k))
+    base
+    (List.concat_map tokens given)
 
 let binding k v =
   match int_of_string_opt v with
   | Some n -> Ok (k, n)
   | None -> Error (Printf.sprintf "bad parameter %S (want an integer value)" (k ^ "=" ^ v))
 
-let merge_bindings bindings ~defaults =
-  bindings @ List.filter (fun (k, _) -> not (List.mem_assoc k bindings)) defaults
-
 let parse_request ~id line =
-  let ( let* ) = Result.bind in
   match tokens line with
   | [] -> Ok None
   | t :: _ when t.[0] = '#' -> Ok None
   | [ _ ] -> Error "want: PROGRAM TOPOLOGY [key=value ...]"
   | program :: topology :: opts ->
-    let with_options req f = { req with rq_options = f req.rq_options } in
     let* req =
       fold_keys
         (fun req k v ->
-          let non_negative what =
-            match int_of_string_opt v with
-            | Some n when n >= 0 -> Ok n
-            | Some _ | None ->
-              Error (Printf.sprintf "%s wants a non-negative integer, got %S" what v)
-          in
-          match constraint_key req.rq_options.Ctx.constraints k v with
-          | Some spec ->
-            let* constraints = spec in
-            Ok (with_options req (fun o -> { o with Ctx.constraints }))
-          | None -> (
-            match k with
-            | "fuel" ->
-              let* n = non_negative "fuel" in
-              Ok (with_options req (fun o -> { o with Ctx.fuel = Some n }))
-            | "deadline-ms" -> begin
-              match float_of_string_opt v with
-              | Some f when f >= 0.0 ->
-                Ok (with_options req (fun o -> { o with Ctx.deadline_ms = Some f }))
-              | Some _ | None ->
-                Error
-                  (Printf.sprintf "deadline-ms wants a non-negative number, got %S" v)
-            end
-            | "retries" ->
-              let* n = non_negative "retries" in
-              Ok { req with rq_retries = n }
-            | "seed" ->
-              let* n = non_negative "seed" in
-              Ok (with_options req (fun o -> { o with Ctx.seed = n }))
-            | "routing" ->
-              let* routing = Ctx.routing_of_string v in
-              Ok (with_options req (fun o -> { o with Ctx.routing }))
-            | "only" -> Ok (with_options req (fun o -> { o with Ctx.only = names v }))
-            | "exclude" -> Ok (with_options req (fun o -> { o with Ctx.exclude = names v }))
-            | "multilevel-threshold" ->
-              let* n = non_negative "multilevel-threshold" in
-              Ok (with_options req (fun o -> { o with Ctx.multilevel_threshold = n }))
-            | _ ->
-              (* anything else is a program parameter binding *)
-              let* b = binding k v in
-              Ok { req with rq_bindings = b :: req.rq_bindings }))
+          match find_key k with
+          | Some key ->
+            let+ rq_options = key.k_set req.rq_options v in
+            { req with rq_options }
+          | None when k = "retries" ->
+            let+ rq_retries = non_negative k v in
+            { req with rq_retries }
+          | None ->
+            (* anything else is a program parameter binding *)
+            let+ b = binding k v in
+            { req with rq_bindings = b :: req.rq_bindings })
         {
           rq_id = id;
           rq_program = program;
@@ -254,16 +358,15 @@ let backoff_delay_ms bo rng n =
 (* shared artifact caches                                             *)
 
 (* The two per-request setup costs worth amortising across a batch:
-   compiling the LaRCS program and building the topology (with its hop
+   loading the program and building the topology (with its hop
    matrix).  Both artifacts are immutable once built — a compiled
    program is never mutated by the pipeline, and a topology's
    Distcache state is domain-safe — so one copy can be shared
    read-only by every pool domain.  Error values are cached too: a
    missing program file fails once, not once per request naming it. *)
 type caches = {
-  c_programs :
-    (string, (Oregami_larcs.Compile.compiled, string) result) Memo.t;
-      (* key: program path/name + sorted bindings *)
+  c_programs : (string, (program, string) result) Memo.t;
+      (* key: program path/name or synth: spec + sorted bindings *)
   c_topologies : (string, (Topology.t, string) result) Memo.t;
       (* key: the topology spec string *)
 }
@@ -278,36 +381,23 @@ let program_key req =
          (fun (k, v) -> Printf.sprintf "%s=%d" k v)
          (List.sort compare req.rq_bindings))
 
-let compile_program req =
-  let ( let* ) = Result.bind in
-  match
-    Isolate.protect (fun () ->
-        let* source, defaults = load_program req.rq_program in
-        Oregami_larcs.Compile.compile_source
-          ~bindings:(merge_bindings req.rq_bindings ~defaults)
-          source)
-  with
-  | Error exn -> Error ("internal crash: " ^ exn)
-  | Ok r -> r
+(* a crash while building an artifact is that request's error *)
+let protect f =
+  match Isolate.protect f with Error exn -> Error ("internal crash: " ^ exn) | Ok r -> r
 
 let build_topology spec =
-  match
-    Isolate.protect (fun () ->
-        Result.map
-          (fun t ->
-            (* pre-warm the hop matrix once, here, so every request on
-               this topology (from any domain) finds it published *)
-            ignore (Oregami_topology.Distcache.hops t);
-            t)
-          (Topology.of_string spec))
-  with
-  | Error exn -> Error ("internal crash: " ^ exn)
-  | Ok r -> r
+  protect (fun () ->
+      Result.map
+        (fun t ->
+          (* pre-warm the hop matrix once, here, so every request on
+             this topology (from any domain) finds it published *)
+          ignore (Oregami_topology.Distcache.hops t);
+          t)
+        (Topology.of_string spec))
 
 (* topology first, so a request naming both a bad topology and a bad
    program reports the topology *)
 let setup ?caches req =
-  let ( let* ) = Result.bind in
   let cached table key build =
     match caches with Some c -> Memo.get (table c) key build | None -> build ()
   in
@@ -315,10 +405,27 @@ let setup ?caches req =
     cached (fun c -> c.c_topologies) req.rq_topology (fun () ->
         build_topology req.rq_topology)
   in
-  let* compiled =
-    cached (fun c -> c.c_programs) (program_key req) (fun () -> compile_program req)
+  let* program =
+    cached (fun c -> c.c_programs) (program_key req) (fun () ->
+        protect (fun () -> Result.bind (source req.rq_program) (build ~bindings:req.rq_bindings)))
   in
-  Ok (compiled, topo)
+  Ok (program, topo)
+
+(* an error outcome for a request that ran nothing *)
+let refusal ~id ~program ~topology msg =
+  {
+    r_id = id;
+    r_program = program;
+    r_topology = topology;
+    r_ok = false;
+    r_strategy = "-";
+    r_degradation = None;
+    r_completion = None;
+    r_elapsed_ms = 0.0;
+    r_attempts = 0;
+    r_fuel_used = 0;
+    r_error = msg;
+  }
 
 let run_request ?(backoff = default_backoff) ?breaker ?caches req =
   let breaker =
@@ -332,7 +439,7 @@ let run_request ?(backoff = default_backoff) ?breaker ?caches req =
     Clock.time (fun () ->
         match setup ?caches req with
         | Error e -> Error e
-        | Ok (compiled, topo) ->
+        | Ok (program, topo) ->
           let best = ref (Error "not attempted") in
           let n = ref 0 in
           let continue = ref true in
@@ -343,7 +450,7 @@ let run_request ?(backoff = default_backoff) ?breaker ?caches req =
             let r, used =
               match
                 Isolate.protect (fun () ->
-                    let ctx = Ctx.of_compiled ~options ~breaker compiled topo in
+                    let ctx = context ~options ~breaker program topo in
                     let r = Driver.run ctx in
                     (r, Budget.fuel_used ctx.Ctx.budget))
               with
@@ -361,36 +468,24 @@ let run_request ?(backoff = default_backoff) ?breaker ?caches req =
           attempts := !n;
           !best)
   in
-  let elapsed_ms = seconds *. 1e3 in
+  let ran e =
+    {
+      (refusal ~id:req.rq_id ~program:req.rq_program ~topology:req.rq_topology e) with
+      r_elapsed_ms = seconds *. 1e3;
+      r_attempts = !attempts;
+      r_fuel_used = !fuel;
+    }
+  in
   match result with
   | Ok (m, deg) ->
     {
-      r_id = req.rq_id;
-      r_program = req.rq_program;
-      r_topology = req.rq_topology;
+      (ran "") with
       r_ok = true;
       r_strategy = m.Mapping.strategy;
       r_degradation = Some deg;
       r_completion = Some (Metrics.completion_time m);
-      r_elapsed_ms = elapsed_ms;
-      r_attempts = !attempts;
-      r_fuel_used = !fuel;
-      r_error = "";
     }
-  | Error e ->
-    {
-      r_id = req.rq_id;
-      r_program = req.rq_program;
-      r_topology = req.rq_topology;
-      r_ok = false;
-      r_strategy = "-";
-      r_degradation = None;
-      r_completion = None;
-      r_elapsed_ms = elapsed_ms;
-      r_attempts = !attempts;
-      r_fuel_used = !fuel;
-      r_error = e;
-    }
+  | Error e -> ran e
 
 (* ------------------------------------------------------------------ *)
 (* rendering                                                          *)
@@ -429,29 +524,14 @@ let render fmt o =
 (* the serve loop                                                     *)
 
 let malformed ~id ~line e =
-  let program, topology =
-    match tokens line with
-    | p :: t :: _ -> (p, t)
-    | [ p ] -> (p, "-")
-    | [] -> ("-", "-")
-  in
-  {
-    r_id = id;
-    r_program = program;
-    r_topology = topology;
-    r_ok = false;
-    r_strategy = "-";
-    r_degradation = None;
-    r_completion = None;
-    r_elapsed_ms = 0.0;
-    r_attempts = 0;
-    r_fuel_used = 0;
-    r_error = e;
-  }
+  match tokens line with
+  | p :: t :: _ -> refusal ~id ~program:p ~topology:t e
+  | [ p ] -> refusal ~id ~program:p ~topology:"-" e
+  | [] -> refusal ~id ~program:"-" ~topology:"-" e
 
-(* jobs = 1: the original streaming loop, request by request, no
-   caches — bit-identical to the pre-pool service. *)
-let serve_sequential ~breaker ~emit ic =
+(* [f] sees every request of [ic] in order: [Ok] to run, or [Error]
+   with the answer for a malformed line *)
+let iter_requests ic f =
   let next_id = ref 0 in
   try
     while true do
@@ -460,12 +540,17 @@ let serve_sequential ~breaker ~emit ic =
       | Ok None -> ()
       | Ok (Some req) ->
         incr next_id;
-        emit (run_request ~breaker req)
+        f (Ok req)
       | Error e ->
         incr next_id;
-        emit (malformed ~id:!next_id ~line e)
+        f (Error (malformed ~id:!next_id ~line e))
     done
   with End_of_file -> ()
+
+(* jobs = 1: the original streaming loop, request by request, no
+   caches — bit-identical to the pre-pool service. *)
+let serve_sequential ~breaker ~emit ic =
+  iter_requests ic (function Ok req -> emit (run_request ~breaker req) | Error o -> emit o)
 
 (* jobs > 1: read the whole batch up front (the work-queue needs
    random access), fan the requests out over a domain pool sharing the
@@ -473,26 +558,12 @@ let serve_sequential ~breaker ~emit ic =
    as each prefix completes. *)
 let serve_parallel ~jobs ~breaker ~emit ic =
   let caches = caches () in
-  let work = ref [] and next_id = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       match parse_request ~id:(!next_id + 1) line with
-       | Ok None -> ()
-       | Ok (Some req) ->
-         incr next_id;
-         work := `Run req :: !work
-       | Error e ->
-         incr next_id;
-         work := `Malformed (malformed ~id:!next_id ~line e) :: !work
-     done
-   with End_of_file -> ());
+  let work = ref [] in
+  iter_requests ic (fun w -> work := w :: !work);
   let work = Array.of_list (List.rev !work) in
   Pool.run ~jobs ~n:(Array.length work)
     ~task:(fun i ->
-      match work.(i) with
-      | `Malformed o -> o
-      | `Run req -> run_request ~breaker ~caches req)
+      match work.(i) with Error o -> o | Ok req -> run_request ~breaker ~caches req)
     ~emit:(fun _ o -> emit o)
 
 let serve ?(format = Tsv) ?breaker ?(jobs = 1) ic oc =

@@ -6,24 +6,17 @@
 
     {v PROGRAM TOPOLOGY [key=value ...] v}
 
-    [PROGRAM] is a LaRCS source file or a built-in workload name,
-    [TOPOLOGY] a topology spec ([torus:8x8], [hypercube:4], ...,
-    optionally with a [:classes=CLASS@IDS/...] capability suffix).
-    Blank lines and lines whose first token starts with [#] are
-    skipped.  A repeated key on one line is a named parse error (the
-    later value would otherwise win silently).  Recognised option
-    keys: [fuel=N] and [deadline-ms=X]
-    (per-attempt budget), [retries=N] (extra reduced-scope attempts,
-    default 2), [seed=N], [routing=mm-route|oblivious|coarse|auto]
-    ([mm] is accepted as an alias for [mm-route]), [only=a,b] /
-    [exclude=a,b] (strategy selection),
-    [multilevel-threshold=N] (flat-vs-multilevel gate), and the
-    placement constraints [pin=T:P,...], [forbid=T:P,...],
-    [require=T:CLASS,...], [skip=CLASS,...] ([:] separates inside the
-    values because [=] binds the key; see
-    {!Oregami_mapper.Constraints}).  Any other [key=value] with an
-    integer value is passed to the program as a parameter binding
-    (like [oregami map -p key=value]).
+    [PROGRAM] is a LaRCS source file, a built-in workload name, or a
+    [synth:FAMILY:N[:SEED]] spec (see {!source}); [TOPOLOGY] a topology
+    spec ([torus:8x8], [hypercube:4], ..., optionally with a
+    [:classes=CLASS@IDS/...] capability suffix).  Blank lines and lines
+    whose first token starts with [#] are skipped.  A repeated key on
+    one line is a named parse error (the later value would otherwise
+    win silently).  The option keys are the entries of {!keys} (the
+    same table the [oregami] command line builds its flags from), plus
+    [retries=N] (extra reduced-scope attempts, default 2).  Any other
+    [key=value] with an integer value is passed to the program as a
+    parameter binding (like [oregami map -p key=value]).
 
     Every request runs with [fallback] enabled, so a budgeted request
     always yields {e some} valid mapping whenever the machine is
@@ -90,13 +83,81 @@ val load_program : string -> (string * (string * int) list, string) result
     The channel is closed on every path, and files over
     {!max_program_bytes} are refused by name. *)
 
+(** {2 Programs} *)
+
+type source
+(** A resolved program argument, not yet compiled. *)
+
+type program = {
+  graph : Oregami_taskgraph.Taskgraph.t;
+  compiled : Oregami_larcs.Compile.compiled option;
+      (** [None] for a synthetic graph *)
+}
+
+val source : string -> (source, string) result
+(** The one place a program argument is told apart: a
+    [synth:FAMILY:N[:SEED]] spec builds its task graph
+    ({!Oregami_workloads.Synth}), anything else is {!load_program}'s.
+    An [Error] means it names no program at all. *)
+
+val build : ?bindings:(string * int) list -> source -> (program, string) result
+(** Compiles LaRCS source with [bindings] over its defaults; a
+    synthetic graph takes no bindings and passes through. *)
+
+val context :
+  ?options:Oregami_mapper.Ctx.options ->
+  ?faults:Oregami_topology.Faults.t ->
+  ?breaker:Oregami_mapper.Isolate.breaker ->
+  program ->
+  Oregami_topology.Topology.t ->
+  Oregami_mapper.Ctx.t
+(** {!Oregami_mapper.Ctx.of_compiled} for LaRCS (so the affine
+    analysis applies), else {!Oregami_mapper.Ctx.of_taskgraph}. *)
+
+(** {2 The request-option table}
+
+    One entry per mapping option, spelled [NAME=VALUE] on a request
+    line and [--FLAG VALUE] on the command line.  Both reach the
+    entry's setter, so they accept the same values and refuse the rest
+    with the same text. *)
+
+type key = {
+  k_name : string;
+  k_flag : string;  (** the name, except [skip-class] for [skip] *)
+  k_docv : string;
+  k_doc : string;  (** cmdliner markup *)
+  k_list : bool;  (** comma-separated: repeated flags join with [,] *)
+  k_set :
+    Oregami_mapper.Ctx.options -> string -> (Oregami_mapper.Ctx.options, string) result;
+}
+
+val keys : key list
+(** Every entry; {!constraint_keys} last. *)
+
+val constraint_keys : key list
+(** [pin], [forbid], [require] and [skip], which cluster arrivals take
+    too.  A line separates inside their values with [:]
+    ([pin=3:0,7:12]) because [=] binds the key. *)
+
+val apply_flags :
+  Oregami_mapper.Ctx.options ->
+  (key * string list) list ->
+  (Oregami_mapper.Ctx.options, string) result
+(** Each key's flag values, answered as the request line
+    [NAME=VALUE ...] would be, a list key's values joined with [,]: a
+    repeated scalar flag is a duplicate key. *)
+
+val tokens : string -> string list
+(** A line's tokens, split at spaces and tabs. *)
+
 val parse_request : id:int -> string -> (request option, string) result
 (** [Ok None] for blank/comment lines.  Duplicate keys are an
     [Error]. *)
 
 (** {2 The request-line key grammar}
 
-    Shared with the cluster's trace lines so both answer the same
+    Shared with the cluster's trace lines, the daemon's [cluster] verb
+    and the command line's [-p] bindings, so each answers the same
     input with the same result and the same error text. *)
 
 val fold_keys :
@@ -108,21 +169,8 @@ val fold_keys :
     tokens left to right; the first malformed token, repeated key or
     [f] error wins. *)
 
-val constraint_key :
-  Oregami_mapper.Constraints.spec ->
-  string ->
-  string ->
-  (Oregami_mapper.Constraints.spec, string) result option
-(** The placement-constraint keys [pin], [forbid], [require] and
-    [skip] applied to a spec; [None] for any other key.  Empty names
-    in a [skip] list are dropped. *)
-
 val binding : string -> string -> (string * int, string) result
 (** A program parameter binding [key=INT]. *)
-
-val merge_bindings :
-  (string * int) list -> defaults:(string * int) list -> (string * int) list
-(** Explicit bindings override the program's defaults. *)
 
 type backoff = {
   bo_base_ms : float;  (** delay before the first retry *)
@@ -141,8 +189,7 @@ val default_backoff : backoff
 (** 1 ms base, doubling, 50 ms cap, ±50% jitter. *)
 
 type caches = {
-  c_programs :
-    (string, (Oregami_larcs.Compile.compiled, string) result) Oregami_prelude.Memo.t;
+  c_programs : (string, (program, string) result) Oregami_prelude.Memo.t;
   c_topologies :
     (string, (Oregami_topology.Topology.t, string) result) Oregami_prelude.Memo.t;
 }
@@ -170,6 +217,10 @@ val run_request :
     {!default_backoff}).  With [caches], program compilation and
     topology construction go through the shared tables (and their
     results are identical to a cold setup, wall-clock aside). *)
+
+val refusal : id:int -> program:string -> topology:string -> string -> outcome
+(** The error outcome of a request that ran nothing: a quota reject,
+    shed load, a timeout. *)
 
 val malformed : id:int -> line:string -> string -> outcome
 (** The error outcome {!serve} emits for an unparseable request line —

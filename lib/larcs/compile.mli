@@ -25,6 +25,11 @@ type compiled = {
           the incremental placement in [Mapper.Incremental] honours. *)
 }
 
+val max_tasks : int
+(** Ceiling on a task graph's size (10{^6}): a program whose node
+    spaces add up to more is a compile [Error], never an allocation
+    crash.  {!Oregami_workloads.Synth} specs honour the same cap. *)
+
 val compile : ?bindings:(string * int) list -> Ast.program -> (compiled, string) result
 (** Every algorithm parameter and imported variable must be bound.
     Fails when a rule's destination falls outside its node type's label

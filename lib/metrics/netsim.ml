@@ -271,8 +271,8 @@ let slot_time params loads (m : Mapping.t) slot =
   let c, _ = simulate_messages params m.Mapping.topo (slot_messages m slot) in
   e + c
 
-let run_with_fault ?(params = default_params) ?(migration_volume = 8) (m : Mapping.t)
-    event =
+let run_with_fault ?(params = default_params) ?(migration_volume = 8) ?options
+    (m : Mapping.t) event =
   let ( let* ) = Result.bind in
   let* faults =
     Faults.make ~procs:event.kill_procs ~links:event.kill_links m.Mapping.topo
@@ -281,7 +281,7 @@ let run_with_fault ?(params = default_params) ?(migration_volume = 8) (m : Mappi
     if Faults.is_empty faults then Error "fault event kills nothing" else Ok ()
   in
   let* view = Faults.degrade m.Mapping.topo faults in
-  let* rep = Repair.repair m view.Faults.topo in
+  let* rep = Repair.repair ?options m view.Faults.topo in
   let repaired = rep.Repair.rp_mapping in
   let trace = Phase_expr.trace m.Mapping.tg.Taskgraph.expr in
   let at = max 0 (min event.at_slot (List.length trace)) in

@@ -105,13 +105,17 @@ type recovery = {
 val run_with_fault :
   ?params:params ->
   ?migration_volume:int ->
+  ?options:Oregami_mapper.Ctx.options ->
   Oregami_mapper.Mapping.t ->
   fault_event ->
   (recovery, string) result
 (** Simulates the mapping's trace with a mid-run fault: slots before
     [at_slot] run on the original mapping, then the named processors
     and links die, the mapping is repaired
-    ({!Oregami_mapper.Repair.repair}), the evacuation is priced as
+    ({!Oregami_mapper.Repair.repair} under [options], default
+    {!Oregami_mapper.Ctx.default_options}: pass the options the mapping
+    was made with so the repair routes and constrains the same way),
+    the evacuation is priced as
     migration traffic on the degraded network, and the remaining slots
     run on the repaired mapping.  Errors (never crashes) on invalid
     fault ids, an empty fault set, faults that disconnect the

@@ -50,6 +50,8 @@ let parse s =
       in
       let* n =
         match int_of_string_opt n with
+        | Some n when n > Oregami_larcs.Compile.max_tasks ->
+          fail "task count %d exceeds the cap %d" n Oregami_larcs.Compile.max_tasks
         | Some n when n > 0 -> Ok n
         | Some n -> fail "task count must be positive, got %d" n
         | None -> fail "task count %S is not an integer" n

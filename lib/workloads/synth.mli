@@ -29,7 +29,10 @@ val is_spec : string -> bool
 (** Whether the string starts with ["synth:"]. *)
 
 val parse : string -> (family * int * int, string) result
-(** Parses [synth:FAMILY:N[:SEED]] into [(family, n, seed)]. *)
+(** Parses [synth:FAMILY:N[:SEED]] into [(family, n, seed)].  [N] must
+    be positive and at most {!Oregami_larcs.Compile.max_tasks}, so a
+    request line cannot make a worker allocate an unbounded graph;
+    every error names the offending field. *)
 
 val generate : family -> n:int -> seed:int -> Oregami_taskgraph.Taskgraph.t
 

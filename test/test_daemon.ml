@@ -382,6 +382,35 @@ let test_cluster_verb () =
         (contains (hear c) "bad synth trace \"synth:5:\"");
       hangup c)
 
+(* the cluster verb's tail is a key list whose only key is chaos: a
+   stray token is a cluster error, not a mapping request for a program
+   called "cluster" *)
+let test_cluster_verb_tail () =
+  with_daemon (fun path ->
+      let c = dial path in
+      let answer line =
+        say c line;
+        match fields (hear c) with
+        | [ _; program; _; status; _; _; _; _; _; _; error ] -> (program, status, error)
+        | _ -> Alcotest.fail "not a result line"
+      in
+      Alcotest.(check (triple string string string)) "stray token"
+        ("cluster", "error", "cluster: bad token \"extra\" (want key=value)")
+        (answer "cluster torus:4x4 synth:10 chaos=1:kill-procs=3 extra");
+      Alcotest.(check (triple string string string)) "unknown key"
+        ("cluster", "error", "cluster: unknown key \"seed\" (want chaos=SPEC)")
+        (answer "cluster torus:4x4 synth:10 seed=3");
+      Alcotest.(check (triple string string string)) "repeated chaos"
+        ("cluster", "error", "cluster: duplicate key \"chaos\" (each key may appear once)")
+        (answer "cluster torus:4x4 synth:10 chaos=1:kill-procs=3 chaos=2:kill-procs=4");
+      Alcotest.(check (triple string string string)) "missing trace"
+        ("cluster", "error", "cluster: want cluster TOPO synth:EVENTS[:SEED] [chaos=SPEC]")
+        (answer "cluster torus:4x4");
+      (* the connection stays up and well-formed runs still go through *)
+      say c "cluster torus:4x4 synth:10 chaos=1:kill-procs=3";
+      Alcotest.(check bool) "summary after errors" true (contains (hear c) "(cluster ");
+      hangup c)
+
 let () =
   (* a client that hangs up mid-answer must surface as EPIPE on the
      daemon's write, not kill this process *)
@@ -408,5 +437,6 @@ let () =
           Alcotest.test_case "stats --format prometheus" `Quick
             test_stats_prometheus;
           Alcotest.test_case "cluster verb" `Quick test_cluster_verb;
+          Alcotest.test_case "cluster verb tail" `Quick test_cluster_verb_tail;
         ] );
     ]

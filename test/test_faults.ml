@@ -241,6 +241,23 @@ let test_repair_honours_routing () =
   Alcotest.(check bool) "oblivious routes" true (repaired.Mapping.routings = oblivious);
   Alcotest.(check bool) "validates" true (Mapping.validate repaired = Ok ())
 
+(* a mid-run fault is repaired under the options the mapping was made
+   with, so an oblivious mapping stays oblivious after the repair *)
+let test_fault_event_honours_routing () =
+  let base, _, _ = acceptance_view () in
+  let compiled = Workloads.compile_exn (Workloads.nbody ~n:16 ~s:2) in
+  let options = { Driver.default_options with Driver.routing = Driver.Oblivious } in
+  let m = get (Driver.map_compiled ~options compiled base) in
+  let event = { Netsim.at_slot = 2; kill_procs = [ 3; 7 ]; kill_links = [] } in
+  let r = get (Netsim.run_with_fault ~options m event) in
+  let repaired = r.Netsim.rv_repair.Repair.rp_mapping in
+  let oblivious =
+    Mapper.Route.deterministic_route repaired.Mapping.tg repaired.Mapping.topo
+      ~proc_of_task:(Mapping.assignment repaired)
+  in
+  Alcotest.(check bool) "oblivious routes" true (repaired.Mapping.routings = oblivious);
+  Alcotest.(check bool) "validates" true (Mapping.validate repaired = Ok ())
+
 (* above the multilevel threshold, [Auto] repairs with coarse routing
    as the mapping itself does *)
 let test_large_repair_routes_coarse () =
@@ -401,6 +418,8 @@ let () =
           Alcotest.test_case "repair vs remap" `Quick test_repair_vs_remap;
           Alcotest.test_case "mid-trace fault event" `Quick test_netsim_fault_event;
           Alcotest.test_case "repair honours routing" `Quick test_repair_honours_routing;
+          Alcotest.test_case "mid-trace fault honours routing" `Quick
+            test_fault_event_honours_routing;
           Alcotest.test_case "large repair routes coarse" `Quick
             test_large_repair_routes_coarse;
           QCheck_alcotest.to_alcotest prop_clusters;

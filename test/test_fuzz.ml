@@ -1,4 +1,5 @@
-(* Fuzzing the compile → pipeline → metrics chain.
+(* Fuzzing the compile → pipeline → metrics chain, and the request
+   surfaces in front of it.
 
    Two generators: well-formed random LaRCS programs (template-based:
    random 1-D node space, shift/ring/tree communication rules, random
@@ -8,7 +9,14 @@
    raising and without burning more than bounded fuel past the cap.
    Mutated programs may fail to compile, but the compiler must return
    [Error] rather than raise, and whenever it accepts the source the
-   pipeline contract above must still hold. *)
+   pipeline contract above must still hold.
+
+   Request lines ({!Service.parse_request}) and cluster trace lines
+   ({!Cluster.parse_trace_line}) are fuzzed with token mixes drawn from
+   the request-option table, good values and bad, plus byte mutations
+   of those lines.  No line may raise, every [Error] must name the key
+   or token at fault, and the same options given as command-line flags
+   ({!Service.apply_flags}) must get the same answer as the line. *)
 
 open Oregami
 module Rng = Prelude.Rng
@@ -68,7 +76,7 @@ let generate rng =
     (Printf.sprintf "phases %s;\n" (phase_expr rng comms execs));
   (Buffer.contents buf, n)
 
-let mutate rng source =
+let mutate ?(junk = "(){};->|^.") rng source =
   let s = Bytes.of_string source in
   let len = Bytes.length s in
   match Rng.int rng 4 with
@@ -79,7 +87,6 @@ let mutate rng source =
     Bytes.sub_string s 0 i ^ Bytes.sub_string s (i + 1) (len - i - 1)
   | 2 ->
     (* insert a structural char *)
-    let junk = "(){};->|^." in
     let i = Rng.int rng len in
     Bytes.sub_string s 0 i
     ^ String.make 1 junk.[Rng.int rng (String.length junk)]
@@ -160,6 +167,155 @@ let mutated =
       | Ok (Error _) -> true (* a clean rejection is the expected outcome *)
       | Ok (Ok compiled) -> check_pipeline seed compiled)
 
+(* --- request and trace lines --------------------------------------- *)
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+(* an error names a token when it quotes the token or its key, or
+   leads a phrase with the key ("fuel wants ...", "bad pin ...") *)
+let names e tok =
+  let key = match String.index_opt tok '=' with Some i -> String.sub tok 0 i | None -> tok in
+  contains e (Printf.sprintf "%S" tok)
+  || contains e (Printf.sprintf "%S" key)
+  || (key <> "" && contains e (key ^ " "))
+
+(* keys fold left to right and the first error wins, so the shortest
+   failing prefix of the options must fail with the whole line's
+   error, and that error must name the prefix's last token *)
+let check_first_offender parse head opts e =
+  let rec go prefix = function
+    | [] -> QCheck.Test.fail_reportf "line fails with %S but no prefix of it does" e
+    | tok :: rest -> (
+      let prefix = prefix @ [ tok ] in
+      match parse (String.concat " " (head @ prefix)) with
+      | Ok _ -> go prefix rest
+      | Error e' ->
+        if e' <> e then
+          QCheck.Test.fail_reportf "prefix error %S differs from line error %S" e' e;
+        if not (names e tok) then
+          QCheck.Test.fail_reportf "error %S does not name token %S" e tok;
+        true)
+  in
+  go [] opts
+
+let option_keys =
+  Array.of_list
+    (List.map (fun k -> k.Service.k_name) Service.keys @ [ "retries"; "procs"; "n"; "s" ])
+
+let option_values =
+  [|
+    "0"; "7"; "-3"; "x"; ""; "1.5"; "mm"; "coarse"; "bogus"; "mwm,kl"; "0:1";
+    "0=1,2:3"; "a:b"; "3:mem"; "io,mem,"; ","; "99999999999999999999";
+  |]
+
+let stray_tokens = [| "extra"; "=x"; "k="; "="; "a=b=c" |]
+
+let option_tokens rng =
+  let token () =
+    if Rng.int rng 8 = 0 then Rng.pick rng stray_tokens
+    else Rng.pick rng option_keys ^ "=" ^ Rng.pick rng option_values
+  in
+  let toks = List.init (Rng.int rng 6) (fun _ -> token ()) in
+  (* now and then a repeated key *)
+  match toks with t :: _ when Rng.int rng 4 = 0 -> toks @ [ t ] | _ -> toks
+
+let programs = [| "jacobi"; "nbody"; "synth:grid:16"; "./no-such.larcs" |]
+
+let line_junk = "=,: x#-\"\\\255"
+
+let request_line rng =
+  let line =
+    String.concat " " (Rng.pick rng programs :: "torus:4x4" :: option_tokens rng)
+  in
+  if Rng.int rng 2 = 0 then line else mutate ~junk:line_junk rng line
+
+let request_lines =
+  QCheck.Test.make ~name:"request lines never raise and name what they refuse"
+    ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let line = request_line (Rng.create seed) in
+      match Service.parse_request ~id:1 line with
+      | exception exn ->
+        QCheck.Test.fail_reportf "%S raised %s" line (Printexc.to_string exn)
+      | Ok _ -> true
+      | Error e -> (
+        let parse l = Service.parse_request ~id:1 l in
+        match Service.tokens line with
+        | program :: topology :: opts ->
+          check_first_offender parse [ program; topology ] opts e
+        | _ -> e = "want: PROGRAM TOPOLOGY [key=value ...]"))
+
+(* the command line hands each key's flag values to the same setters:
+   a scalar flag given twice is the line's duplicate key, a list flag
+   given twice is one comma-joined value *)
+let flags_agree =
+  QCheck.Test.make ~name:"flags answer as request lines do" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let keys = Array.of_list Service.keys in
+      let given =
+        List.init (Rng.int rng 4) (fun _ ->
+            let values = List.init (1 + Rng.int rng 2) (fun _ -> Rng.pick rng option_values) in
+            (Rng.pick rng keys, values))
+      in
+      let tokens (k, vs) =
+        let vs = if k.Service.k_list then [ String.concat "," vs ] else vs in
+        List.map (fun v -> k.Service.k_name ^ "=" ^ v) vs
+      in
+      let line =
+        String.concat " " ("jacobi" :: "torus:4x4" :: List.concat_map tokens given)
+      in
+      let base = { Driver.default_options with Driver.fallback = true } in
+      match (Service.apply_flags base given, Service.parse_request ~id:1 line) with
+      | Ok o, Ok (Some req) -> o = req.Service.rq_options
+      | Error e, Error e' -> e = e' || QCheck.Test.fail_reportf "%S vs %S on %S" e e' line
+      | _ -> QCheck.Test.fail_reportf "flags and line %S disagree" line)
+
+let trace_line rng =
+  let line =
+    match Rng.int rng 4 with
+    | 0 | 1 ->
+      String.concat " " ("arrive" :: "job" :: Rng.pick rng programs :: option_tokens rng)
+    | 2 ->
+      String.concat " "
+        (Rng.pick rng [| "kill"; "revive" |]
+        :: List.init (Rng.int rng 3) (fun _ ->
+               Rng.pick rng [| "procs"; "links"; "nodes" |]
+               ^ "="
+               ^ Rng.pick rng [| "1"; "1,2"; "x"; ""; "-1"; "1,,2" |]))
+    | _ -> "depart job"
+  in
+  if Rng.int rng 2 = 0 then line else mutate ~junk:line_junk rng line
+
+let trace_lines =
+  QCheck.Test.make ~name:"trace lines never raise and name what they refuse"
+    ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let line = trace_line (Rng.create seed) in
+      match Cluster.parse_trace_line 3 line with
+      | exception exn ->
+        QCheck.Test.fail_reportf "%S raised %s" line (Printexc.to_string exn)
+      | Ok _ -> true
+      | Error e -> (
+        let toks = Service.tokens line in
+        if not (String.starts_with ~prefix:"line 3: " e) then
+          QCheck.Test.fail_reportf "error %S lacks its line number" e;
+        let parse = Cluster.parse_trace_line 3 in
+        match toks with
+        | "arrive" :: job :: program :: opts ->
+          check_first_offender parse [ "arrive"; job; program ] opts e
+        | (("kill" | "revive") as verb) :: (_ :: _ as opts) ->
+          check_first_offender parse [ verb ] opts e
+        | _ ->
+          List.exists (names e) toks
+          || QCheck.Test.fail_reportf "error %S names no token of %S" e line))
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -167,5 +323,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest well_formed;
           QCheck_alcotest.to_alcotest mutated;
+          QCheck_alcotest.to_alcotest request_lines;
+          QCheck_alcotest.to_alcotest flags_agree;
+          QCheck_alcotest.to_alcotest trace_lines;
         ] );
     ]

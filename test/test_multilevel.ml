@@ -190,6 +190,19 @@ let test_synth_specs () =
   (match Synth.parse "synth:mobius:8" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted an unknown family");
+  (* the compiler's task cap holds for synthetic graphs too, so a
+     request line cannot ask a worker for an unbounded graph *)
+  let cap = Larcs.Compile.max_tasks in
+  (match Synth.parse (Printf.sprintf "synth:ring:%d" cap) with
+  | Ok (Synth.Ring, n, 1) -> Alcotest.(check int) "the cap itself is allowed" cap n
+  | Ok _ | Error _ -> Alcotest.fail "refused a graph at the cap");
+  (match Synth.parse (Printf.sprintf "synth:ring:%d" (cap + 1)) with
+  | Error e ->
+    Alcotest.(check string) "over the cap, by name"
+      (Printf.sprintf "bad synthetic spec \"synth:ring:%d\": task count %d exceeds the cap %d"
+         (cap + 1) (cap + 1) cap)
+      e
+  | Ok _ -> Alcotest.fail "accepted a graph over the cap");
   match Synth.build "synth:tree:777" with
   | Error e -> Alcotest.failf "build failed: %s" e
   | Ok tg -> Alcotest.(check int) "task count" 777 tg.Taskgraph.n
