@@ -951,7 +951,9 @@ let parse_trace_line lineno line =
       (match Service.tokens line with
       | "arrive" :: name :: program :: opts ->
         Result.map (fun ar -> Some (Arrive ar)) (parse_arrival name program opts)
+      | "arrive" :: _ -> Error "arrive wants JOB PROGRAM [KEY=VALUE...]"
       | [ "depart"; name ] -> Ok (Some (Depart name))
+      | "depart" :: _ -> Error "depart wants JOB"
       | "kill" :: opts ->
         let* procs, links = parse_fault_opts "kill" opts in
         Ok (Some (Kill { procs; links }))

@@ -159,7 +159,8 @@ revive [procs=IDS] [links=IDS] v}
     arrival's options follow {!Service.parse_request}'s grammar
     ({!Service.fold_keys} over {!Service.constraint_keys}), and so do
     [kill]/[revive] options: a repeated key or a malformed token fails
-    with the same text serve answers. *)
+    with the same text serve answers.  An [arrive] or [depart] with the
+    wrong number of tokens fails by saying what the verb wants. *)
 
 val load_trace : string -> (event list, string) result
 (** Parse a trace file, first error wins (with its line number). *)

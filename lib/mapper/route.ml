@@ -26,14 +26,14 @@ let route_length c = Array.length c.cand_links
 
 let nth_link c h = c.cand_links.(h)
 
-let phase_messages topo proc_of_task cap (cp : Taskgraph.comm_phase) =
+let phase_messages ~candidates proc_of_task (cp : Taskgraph.comm_phase) =
   Digraph.edges cp.Taskgraph.edges
   |> List.filter (fun (u, v, _) -> u <> v)
   |> List.map (fun (u, v, w) ->
          let pu = proc_of_task.(u) and pv = proc_of_task.(v) in
          let candidates =
            if pu = pv then [ candidate { Routes.nodes = [ pu ]; links = [] } ]
-           else List.map candidate (Distcache.routes ~cap topo pu pv)
+           else candidates pu pv
          in
          { msg_src = u; msg_dst = v; msg_volume = w; candidates; committed = 0 })
 
@@ -130,6 +130,20 @@ let route_phase ~budget topo messages =
 
 let mm_route ?budget ?(cap = 64) tg topo ~proc_of_task =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
+  (* many messages share a processor pair: build each distinct (pair,
+     cap) candidate list once per call.  Candidates are immutable, so
+     messages can share them. *)
+  let nprocs = Topology.node_count topo in
+  let shared = Hashtbl.create 64 in
+  let candidates cap pu pv =
+    let key = (cap, (pu * nprocs) + pv) in
+    match Hashtbl.find_opt shared key with
+    | Some cs -> cs
+    | None ->
+      let cs = List.map candidate (Distcache.routes ~cap topo pu pv) in
+      Hashtbl.add shared key cs;
+      cs
+  in
   let results =
     List.map
       (fun (cp : Taskgraph.comm_phase) ->
@@ -142,7 +156,7 @@ let mm_route ?budget ?(cap = 64) tg topo ~proc_of_task =
           end
           else cap
         in
-        let messages = phase_messages topo proc_of_task cap cp in
+        let messages = phase_messages ~candidates:(candidates cap) proc_of_task cp in
         let rounds, messages = route_phase ~budget topo messages in
         let pr_edges =
           List.map
@@ -415,7 +429,7 @@ let deterministic_route tg topo ~proc_of_task =
                let pu = proc_of_task.(u) and pv = proc_of_task.(v) in
                let route =
                  if pu = pv then { Routes.nodes = [ pu ]; links = [] }
-                 else Routes.deterministic topo pu pv
+                 else Distcache.deterministic topo pu pv
                in
                { Mapping.re_src = u; re_dst = v; re_volume = w; re_route = route })
       in

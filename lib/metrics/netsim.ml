@@ -5,6 +5,7 @@ module Phase_expr = Oregami_taskgraph.Phase_expr
 module Topology = Oregami_topology.Topology
 module Faults = Oregami_topology.Faults
 module Routes = Oregami_topology.Routes
+module Distcache = Oregami_topology.Distcache
 module Pqueue = Oregami_prelude.Pqueue
 
 type switching = Store_and_forward | Wormhole
@@ -249,7 +250,7 @@ let migration_time ?(params = default_params) ?(volume = 8) topo before after =
       let q = after.(t) in
       if p <> q then begin
         let src = if Topology.alive topo p then p else host in
-        messages := (Routes.deterministic topo src q, volume, 0) :: !messages
+        messages := (Distcache.deterministic topo src q, volume, 0) :: !messages
       end)
     before;
   if !messages = [] then 0 else fst (simulate_released params topo !messages)

@@ -1,31 +1,36 @@
-(** Topology-resident distance and route cache.
+(** Topology-resident distance cache and on-demand route candidates.
 
     Every mapping algorithm in this repo — NN-Embed, pairwise
     refinement, incremental placement, MM-Route, aggregate replanning —
     is driven by processor hop distances and shortest-route queries on
-    the target topology.  This module materialises those structures
-    lazily, exactly once per topology value, on the {!Topology.cache}
-    slot:
+    the target topology.  This module keeps the structures those
+    queries need on the {!Topology.cache} slot, built at most once per
+    topology value:
 
-    - a flat all-pairs hop matrix computed over the {!Csr} adjacency
+    - the {!Csr} adjacency and a per-node arc table (neighbours in
+      ascending order, each with its link id), both O(links) and filled
+      when the state is first attached;
+    - a flat all-pairs hop matrix computed over the CSR on first use
       (fanned out across OCaml 5 domains for topologies with at least
-      {!parallel_threshold} processors);
-    - a memoised shortest-route table that enumerates routes from the
-      cached matrix instead of running a BFS per processor pair,
-      subsuming the ad-hoc per-call caches that used to live in
-      [Routes.route_table] and [Route.phase_messages].
+      {!parallel_threshold} processors).
 
-    All queries agree exactly with the original [Shortest] /
-    [Traverse] list-based computations.
+    Nothing per processor pair is stored.  A route query walks the
+    shortest-route DAG the hop matrix implies in lexicographic order and
+    builds only the routes at the list positions it was asked for,
+    skipping every other successor's block of routes by its size.  Sizes
+    are counted on demand, saturating at the cap; a query for the full
+    list never skips, so it counts nothing.  Link ids come from the arc
+    table.  A query therefore costs at most O(DAG nodes between the pair
+    × degree) to count plus O(hops) per route built, and any scratch it
+    needs dies with the call.  Results agree exactly with the list-based
+    [Routes.shortest_routes] (same lexicographic order, same cap).
 
     The cache is {e domain-safe}: one topology value may be shared by a
     whole pool of mapping domains (the batch service does exactly
     that).  The hop matrix is built at most once — mutual exclusion by
     a per-topology mutex, publication through an [Atomic.t] so readers
-    on other domains see the initialised rows — and the route memo
-    table is only touched under the same mutex.  {!hop} itself stays a
-    plain array read on an already-published matrix, with no per-query
-    locking. *)
+    on other domains see the initialised rows.  {!hop} and the route
+    queries only read published, immutable arrays and take no lock. *)
 
 type t
 (** Cache handle with the hop matrix guaranteed built. *)
@@ -38,32 +43,29 @@ val hop : t -> int -> int -> int
 (** [hop c u v] is the hop distance between processors [u] and [v]
     ([Csr.unreachable], i.e. [max_int], when disconnected).  O(1). *)
 
-val size : t -> int
-(** Number of processors the handle covers. *)
-
-val hop_matrix : Topology.t -> int array
-(** The underlying flat row-major matrix (entry [u * n + v]); builds it
-    if needed.  Shared, do not mutate. *)
-
-val csr : Topology.t -> Oregami_graph.Csr.t
-(** The topology's CSR adjacency (built on first use, cached). *)
-
 val routes : ?cap:int -> Topology.t -> int -> int -> Routes.route list
-(** Memoised [Routes.shortest_routes]: identical results (same
-    lexicographic order, same [cap] truncation, default 64; the single
-    empty-link route when source equals destination), but enumerated
-    from the cached hop matrix and stored per ordered pair.  A query
-    with a smaller cap than a stored entry reuses its prefix; a larger
-    cap recomputes only if the stored list had been truncated. *)
+(** Same result as [Routes.shortest_routes]: all minimum-hop routes in
+    lexicographic node-path order, truncated to the first [cap]
+    (default 64); the single empty-link route when source equals
+    destination; [[]] when the destination is unreachable.  Built from
+    the cached hop matrix on every call and never stored. *)
 
 val routes_sampled :
   ?cap:int -> want:int -> Topology.t -> int -> int -> Routes.route list
-(** [routes_sampled ?cap ~want topo u v] enumerates (and memoises)
-    routes exactly like {!routes}, then trims the list to at most
-    [want] candidates with {!Routes.sample_evenly}.  The coarse router
-    sizes [want] by a pair's aggregated traffic so hot pairs keep the
-    full candidate spread while the long tail of light pairs is scored
-    against a handful of representatives. *)
+(** [routes_sampled ?cap ~want topo u v] is
+    [Routes.sample_evenly ~want (routes ?cap topo u v)], but builds only
+    the routes at the kept positions ({!Routes.stride}).  The coarse
+    router sizes [want] by a pair's aggregated traffic so hot pairs
+    keep the full candidate spread while the long tail of light pairs
+    is scored against a handful of representatives. *)
+
+val deterministic : Topology.t -> int -> int -> Routes.route
+(** The natural oblivious route for the topology: {!Routes.ecube} on
+    hypercubes, {!Routes.dimension_order} on meshes and tori, and the
+    first route of {!routes} otherwise.  On a degraded view the
+    kind-specific schemes are unsafe (they may cross dead links), so
+    this always takes the first shortest route on the surviving graph;
+    raises [Invalid_argument] if the destination is unreachable. *)
 
 val hop_builds : Topology.t -> int
 (** How many times this topology's hop matrix has been computed —

@@ -77,37 +77,18 @@ let dimension_order topo u v =
   | Topology.De_bruijn _ | Topology.Shuffle_exchange _ ->
     invalid_arg "Routes.dimension_order: not a mesh or torus"
 
-let first_shortest topo u v =
-  match shortest_routes ~cap:1 topo u v with
-  | r :: _ -> r
-  | [] -> invalid_arg "Routes.deterministic: destination unreachable"
-
-let deterministic topo u v =
-  (* the kind-specific schemes assume the intact network: on a degraded
-     view they would happily route across dead links, so fall back to a
-     shortest route on the surviving graph *)
-  if Topology.is_degraded topo then first_shortest topo u v
-  else
-    match Topology.kind topo with
-    | Topology.Hypercube _ -> ecube topo u v
-    | Topology.Mesh _ | Topology.Torus _ -> dimension_order topo u v
-    | Topology.Line _ | Topology.Ring _ | Topology.Complete _ | Topology.Binary_tree _
-    | Topology.Binomial_tree _ | Topology.Butterfly _ | Topology.Cube_connected_cycles _
-    | Topology.Hex_mesh _ | Topology.Star_graph _ | Topology.De_bruijn _
-    | Topology.Shuffle_exchange _ -> first_shortest topo u v
-
 let hops r = List.length r.links
 
-(* Deterministic stride sampling: keep [want] routes spread evenly
-   across the (lexicographically ordered) candidate list instead of
-   its prefix, so a trimmed candidate set still covers the whole
-   shortest-route DAG.  Index 0 is always kept, which preserves the
-   "first candidate" every budget-exhaustion commit path relies on. *)
+(* Deterministic stride sampling: keep [want] positions spread evenly
+   across a (lexicographically ordered) candidate list of length [n]
+   instead of its prefix, so a trimmed candidate set still covers the
+   whole shortest-route DAG.  Position 0 is always kept, which
+   preserves the "first candidate" every budget-exhaustion commit path
+   relies on. *)
+let stride ~want n =
+  if want >= n then (n, Fun.id) else (max want 0, fun i -> i * n / want)
+
 let sample_evenly ~want rs =
-  let n = List.length rs in
-  if want <= 0 then []
-  else if want >= n then rs
-  else begin
-    let arr = Array.of_list rs in
-    List.init want (fun i -> arr.(i * n / want))
-  end
+  let arr = Array.of_list rs in
+  let keep, position = stride ~want (Array.length arr) in
+  List.init keep (fun i -> arr.(position i))

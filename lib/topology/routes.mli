@@ -22,9 +22,9 @@ val shortest_routes : ?cap:int -> Topology.t -> int -> int -> route list
     single empty-link route when source equals destination. *)
 
 val route_table : ?cap:int -> Topology.t -> (int * int, route list) Hashtbl.t
-(** Routes for every ordered pair, computed eagerly.  Prefer
-    [Distcache.routes], which enumerates on demand from the cached hop
-    matrix and memoises per pair on the topology itself. *)
+(** Routes for every ordered pair, computed eagerly and held in one
+    table.  Prefer [Distcache.routes], which builds a pair's routes on
+    demand from the cached hop matrix and stores nothing per pair. *)
 
 val ecube : Topology.t -> int -> int -> route
 (** Deterministic e-cube (dimension-order, lowest bit first) route on a
@@ -36,22 +36,22 @@ val dimension_order : Topology.t -> int -> int -> route
     the short way around).  Raises [Invalid_argument] otherwise, and on
     degraded views. *)
 
-val deterministic : Topology.t -> int -> int -> route
-(** The natural deterministic route for the topology: {!ecube} on
-    hypercubes, {!dimension_order} on meshes and tori, and the unique
-    first shortest route otherwise.  On a degraded view the
-    kind-specific schemes are unsafe (they may cross dead links), so
-    this always takes the first shortest route on the surviving
-    graph; raises [Invalid_argument] if the destination is
-    unreachable. *)
-
 val hops : route -> int
 
+val stride : want:int -> int -> int * (int -> int)
+(** [stride ~want n] is [(keep, position)]: out of a list of [n],
+    {!sample_evenly} keeps [keep] entries, the [i]-th ([i < keep]) at
+    ascending position [position i].  That is [i * n / want] for
+    [i < want] when [want < n], every position when [want >= n], and
+    none when [want <= 0].  Position 0 is always kept.
+    [Distcache.routes_sampled] builds exactly these positions. *)
+
 val sample_evenly : want:int -> route list -> route list
-(** [sample_evenly ~want rs] keeps at most [want] routes, spread
-    evenly over the list by deterministic stride sampling (the first
-    route is always kept; relative order is preserved).  [want <= 0]
-    yields the empty list, [want >= length rs] yields [rs] unchanged.
-    The coarse router uses this to trim a heavy pair's candidate set
-    without collapsing it onto a lexicographic prefix that would share
-    every early link. *)
+(** [sample_evenly ~want rs] keeps the routes of [rs] at the
+    {!stride} positions for [List.length rs]: at most [want] routes,
+    spread evenly over the list by deterministic stride sampling (the
+    first route is always kept; relative order is preserved).
+    [want <= 0] yields the empty list, [want >= length rs] yields [rs].
+    The coarse router uses this stride to trim a heavy pair's candidate
+    set without collapsing it onto a lexicographic prefix that would
+    share every early link. *)

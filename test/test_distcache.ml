@@ -127,14 +127,84 @@ let test_route_cap () =
   Alcotest.check routes_testable "cap 5 is a prefix"
     (List.filteri (fun i _ -> i < 5) full)
     first5;
-  (* asking for more after a capped memo entry must re-enumerate *)
+  (* a larger cap after a smaller one gets the longer list *)
   let all = Distcache.routes ~cap:64 topo 0 15 in
   Alcotest.check routes_testable "cap upgrade re-enumerates" full all;
-  (* and a later smaller cap is served as a prefix of the memo *)
+  (* and a later smaller cap gets the prefix again *)
   let first3 = Distcache.routes ~cap:3 topo 0 15 in
   Alcotest.check routes_testable "memoised prefix"
     (List.filteri (fun i _ -> i < 3) full)
     first3
+
+(* Route queries against the list-based reference on every family and
+   on degraded views (partitioned ones included, so unreachable pairs
+   are covered), at random caps and sample sizes: the full list, the
+   stride sample and the oblivious route must all come out as the
+   reference builds them. *)
+module Faults = Oregami_topology.Faults
+
+let property_families =
+  families @ [ "torus:6x6"; "mesh:5x5"; "hypercube:5"; "debruijn:4"; "shuffle:4" ]
+
+let qcheck_routes_reference =
+  let show rs =
+    String.concat "; "
+      (List.map (fun r -> String.concat "-" (List.map string_of_int r.Routes.nodes)) rs)
+  in
+  QCheck.Test.make ~name:"routes, routes_sampled and deterministic match the reference"
+    ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let base = parse_topo (Rng.pick rng (Array.of_list property_families)) in
+      let topo =
+        if Rng.int rng 2 = 0 then base
+        else begin
+          let faults =
+            Result.get_ok
+              (Faults.random rng ~procs:(Rng.int rng 3) ~links:(Rng.int rng 4) base)
+          in
+          Result.get_ok
+            (Topology.degrade base ~dead_procs:faults.Faults.procs
+               ~dead_links:faults.Faults.links)
+        end
+      in
+      let n = Topology.node_count topo in
+      let u = Rng.int rng n and v = Rng.int rng n in
+      let cap = 1 + Rng.int rng 80 and want = Rng.int rng 81 in
+      let case =
+        Printf.sprintf "%s %d->%d cap=%d want=%d" (Topology.name topo) u v cap want
+      in
+      let reference = Routes.shortest_routes ~cap topo u v in
+      let got = Distcache.routes ~cap topo u v in
+      if got <> reference then
+        QCheck.Test.fail_reportf "%s: routes [%s], reference [%s]" case (show got)
+          (show reference);
+      let sampled = Distcache.routes_sampled ~cap ~want topo u v in
+      let expected = Routes.sample_evenly ~want reference in
+      if sampled <> expected then
+        QCheck.Test.fail_reportf "%s: sampled [%s], reference [%s]" case (show sampled)
+          (show expected);
+      let oblivious =
+        match Distcache.deterministic topo u v with
+        | r -> Some r
+        | exception Invalid_argument _ -> None
+      in
+      let intact = not (Topology.is_degraded topo) in
+      let expected =
+        match Topology.kind topo with
+        | Topology.Hypercube _ when intact -> Some (Routes.ecube topo u v)
+        | (Topology.Mesh _ | Topology.Torus _) when intact ->
+          Some (Routes.dimension_order topo u v)
+        | _ -> (
+          (* the fallback: the first shortest route on the surviving graph *)
+          match Routes.shortest_routes ~cap:1 topo u v with r :: _ -> Some r | [] -> None)
+      in
+      if oblivious <> expected then
+        QCheck.Test.fail_reportf "%s: deterministic [%s], reference [%s]" case
+          (show (Option.to_list oblivious))
+          (show (Option.to_list expected));
+      true)
 
 let test_built_once () =
   let topo = parse_topo "mesh:4x4" in
@@ -204,6 +274,7 @@ let () =
         [
           Alcotest.test_case "match shortest_routes" `Quick test_routes_match;
           Alcotest.test_case "cap semantics" `Quick test_route_cap;
+          QCheck_alcotest.to_alcotest qcheck_routes_reference;
         ] );
       ( "ugraph",
         [ Alcotest.test_case "neighbor order" `Quick test_neighbor_order ] );

@@ -300,7 +300,7 @@ let test_incremental_and_routes_degraded () =
   let view = get (Faults.degrade base (get (Faults.make ~procs:[ 5 ] base))) in
   let d = view.Faults.topo in
   (* deterministic routing falls back to surviving shortest routes *)
-  let r = Routes.deterministic d 1 7 in
+  let r = Distcache.deterministic d 1 7 in
   Alcotest.(check bool) "route avoids the dead proc" true
     (List.for_all (Topology.alive d) r.Routes.nodes);
   (match Routes.ecube d 1 7 with

@@ -3,6 +3,7 @@
 
 module Topology = Oregami_topology.Topology
 module Routes = Oregami_topology.Routes
+module Distcache = Oregami_topology.Distcache
 module Gray = Oregami_topology.Gray
 module Ugraph = Oregami_graph.Ugraph
 module Traverse = Oregami_graph.Traverse
@@ -203,7 +204,7 @@ let test_deterministic () =
       for u = 0 to min 5 (n - 1) do
         for v = 0 to min 5 (n - 1) do
           if u <> v then begin
-            let r = Routes.deterministic topo u v in
+            let r = Distcache.deterministic topo u v in
             check_route topo u v r
           end
         done
@@ -299,7 +300,7 @@ let qcheck_links_of_path =
   let print (topo, u, v) = Printf.sprintf "%s: %d -> %d" (Topology.name topo) u v in
   QCheck.Test.make ~name:"links_of_path inverts deterministic routes" ~count:500
     (QCheck.make gen ~print) (fun (topo, u, v) ->
-      let r = Routes.deterministic topo u v in
+      let r = Distcache.deterministic topo u v in
       let relinked = Topology.links_of_path topo r.Routes.nodes in
       if relinked <> r.Routes.links then
         QCheck.Test.fail_reportf "route links %s but path converts to %s"
