@@ -52,7 +52,6 @@ type config = {
   cf_queue_bound : int;
   cf_max_retries : int;
   cf_defrag_threshold : float;
-  cf_migration_volume : int;
   cf_route_cap : int;
 }
 
@@ -61,7 +60,6 @@ let default_config =
     cf_queue_bound = 16;
     cf_max_retries = 3;
     cf_defrag_threshold = 0.5;
-    cf_migration_volume = 8;
     cf_route_cap = 64;
   }
 
@@ -172,26 +170,6 @@ let lease_assignment t name =
   | Some l ->
     Some (l.l_tg, t.view.Faults.topo, Mapping.assignment l.l_mapping)
 
-let utilization t = Netsim.utilization t.view.Faults.topo ~leased:(leased_procs t)
-
-let fragmentation t = Netsim.fragmentation t.view.Faults.topo ~free:(free_procs t)
-
-let sample t what =
-  t.samples <-
-    {
-      s_clock = t.clock;
-      s_event = what;
-      s_utilization = utilization t;
-      s_fragmentation = fragmentation t;
-      s_running = Hashtbl.length t.leases;
-      s_queued = List.length t.queue;
-      s_free = List.length (free_procs t);
-    }
-    :: t.samples
-
-(* ------------------------------------------------------------------ *)
-(* region allocation: best-fit connected block out of the free pool *)
-
 let free_components topo free =
   (* connected components of [free] in BFS order, so a prefix of a
      component is itself near-connected *)
@@ -220,6 +198,40 @@ let free_components topo free =
   List.filter_map
     (fun p -> if Hashtbl.mem seen p then None else Some (component p))
     free
+
+let utilization t =
+  match Topology.alive_count t.view.Faults.topo with
+  | 0 -> 0.0
+  | alive -> float_of_int (List.length (leased_procs t)) /. float_of_int alive
+
+(* how shattered the free pool is: 1 - largest connected free block /
+   free total *)
+let fragmentation t =
+  match free_procs t with
+  | [] | [ _ ] -> 0.0
+  | free ->
+    let largest =
+      List.fold_left
+        (fun acc c -> max acc (List.length c))
+        0 (free_components t.view.Faults.topo free)
+    in
+    1.0 -. (float_of_int largest /. float_of_int (List.length free))
+
+let sample t what =
+  t.samples <-
+    {
+      s_clock = t.clock;
+      s_event = what;
+      s_utilization = utilization t;
+      s_fragmentation = fragmentation t;
+      s_running = Hashtbl.length t.leases;
+      s_queued = List.length t.queue;
+      s_free = List.length (free_procs t);
+    }
+    :: t.samples
+
+(* ------------------------------------------------------------------ *)
+(* region allocation: best-fit connected block out of the free pool *)
 
 (* best fit out of [free], which holds at least [want] processors: the
    smallest connected free block that fits (keeping big blocks for big
@@ -274,10 +286,8 @@ let build_mapping ctx activation region =
   let n = ctx.Ctx.tg.Taskgraph.n in
   let k = max 1 (List.length region) in
   let cap = max 1 ((n + k - 1) / k) in
-  let active = Ctx.constrained ctx in
   let feasible task p =
-    in_region.(p)
-    && ((not active) || Constraints.feasible ctx.Ctx.constraints ~task ~proc:p)
+    in_region.(p) && Constraints.feasible ctx.Ctx.constraints ~task ~proc:p
   in
   let* proc_of = Incremental.try_place ~feasible (Ctx.static ctx) ~activation ~cap topo in
   Result.map_error
@@ -394,10 +404,7 @@ let heal t name l =
   let allowed = Hashtbl.create 16 in
   List.iter (fun p -> Hashtbl.replace allowed p ()) alive_region;
   List.iter (fun p -> Hashtbl.replace allowed p ()) free;
-  let price =
-    Remap.bill ~migration_volume:t.cfg.cf_migration_volume topo
-      (Mapping.assignment l.l_mapping)
-  in
+  let price = Remap.bill topo (Mapping.assignment l.l_mapping) in
   let repair_cand =
     match
       Repair.repair
@@ -537,8 +544,7 @@ let repack_candidate t =
       in
       taken := region @ !taken;
       let migration =
-        Netsim.migration_time ~volume:t.cfg.cf_migration_volume topo
-          (Mapping.assignment l.l_mapping) (Mapping.assignment m)
+        Netsim.migration_time topo (Mapping.assignment l.l_mapping) (Mapping.assignment m)
       in
       Ok ((name, l, region, m, migration) :: plan))
     (Ok []) leases
@@ -866,18 +872,22 @@ let parse_action s =
   | Some eq ->
     let key = String.sub s 0 eq in
     let v = String.sub s (eq + 1) (String.length s - eq - 1) in
-    let* ids = Faults.parse_ids v in
-    (match key with
-    | "kill-procs" -> Ok (Kill { procs = ids; links = [] })
-    | "kill-links" -> Ok (Kill { procs = []; links = ids })
-    | "revive-procs" -> Ok (Revive { procs = ids; links = [] })
-    | "revive-links" -> Ok (Revive { procs = []; links = ids })
-    | k ->
-      Error
-        (Printf.sprintf
-           "unknown chaos action %S (want kill-procs, kill-links, revive-procs \
-            or revive-links)"
-           k))
+    let* event =
+      match key with
+      | "kill-procs" -> Ok (fun ids -> Kill { procs = ids; links = [] })
+      | "kill-links" -> Ok (fun ids -> Kill { procs = []; links = ids })
+      | "revive-procs" -> Ok (fun ids -> Revive { procs = ids; links = [] })
+      | "revive-links" -> Ok (fun ids -> Revive { procs = []; links = ids })
+      | k ->
+        Error
+          (Printf.sprintf
+             "unknown chaos action %S (want kill-procs, kill-links, revive-procs \
+              or revive-links)"
+             k)
+    in
+    Faults.parse_ids v
+    |> Result.map_error (Printf.sprintf "chaos action %s: %s" key)
+    |> Result.map event
 
 let parse_chaos s =
   String.split_on_char ';' (String.trim s)

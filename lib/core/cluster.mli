@@ -56,7 +56,6 @@ type config = {
   cf_queue_bound : int;  (** pending arrivals kept before shedding (default 16) *)
   cf_max_retries : int;  (** placement retries per queued arrival (default 3) *)
   cf_defrag_threshold : float;  (** re-pack trigger (default 0.5) *)
-  cf_migration_volume : int;  (** state units per moved task (default 8) *)
   cf_route_cap : int;  (** MM-Route candidate bound (default 64) *)
 }
 
@@ -66,7 +65,7 @@ type sample = {
   s_clock : int;  (** event ordinal at which the sample was taken *)
   s_event : string;  (** what just happened, one line *)
   s_utilization : float;  (** leased fraction of the alive machine *)
-  s_fragmentation : float;  (** {!Oregami_metrics.Netsim.fragmentation} of the free pool *)
+  s_fragmentation : float;  (** {!fragmentation} of the free pool *)
   s_running : int;
   s_queued : int;
   s_free : int;
@@ -118,8 +117,16 @@ val lease_assignment :
     What the property tests audit after every chaos event. *)
 
 val utilization : t -> float
+(** Fraction of the {e alive} processors currently under lease; [0.]
+    on a machine with nothing alive. *)
 
 val fragmentation : t -> float
+(** How shattered the free pool is: [1 - largest contiguous free block
+    / total free processors], where contiguity is adjacency in the
+    current (possibly degraded) machine restricted to free processors.
+    [0.] when the free pool is empty, a single processor, or one
+    connected block; approaches [1.] as the free processors scatter
+    into many small islands.  Drives the re-pack decision. *)
 
 val invariants : t -> (unit, string) result
 (** Lease accounting, checked by the stress soak at every event: leased

@@ -283,23 +283,18 @@ let parse_cluster = function
     |> Result.map (fun chaos -> (topo, trace, chaos))
   | _ -> Error "want cluster TOPO synth:EVENTS[:SEED] [chaos=SPEC]"
 
-let run_job t job =
-  let cl = job.j_client in
+let answer t job =
   match job.j_kind with
-  | Jcluster { jc_id; jc_topo; jc_trace; jc_chaos } ->
+  | Jcluster { jc_id; jc_topo; jc_trace; jc_chaos } -> begin
     (* answered as one s-expression line of cluster counters, not a
        mapping outcome row *)
-    let line =
-      match run_cluster ~jc_topo ~jc_trace ~jc_chaos with
-      | Ok line -> line
-      | Error e ->
-        Service.render t.cfg.d_format
-          (Service.refusal ~id:jc_id ~program:"cluster" ~topology:jc_topo
-             ("cluster: " ^ e))
-    in
-    record_latency t (Clock.elapsed_ms job.j_admit);
-    send cl line;
-    job_done cl
+    match run_cluster ~jc_topo ~jc_trace ~jc_chaos with
+    | Ok line -> line
+    | Error e ->
+      Service.render t.cfg.d_format
+        (Service.refusal ~id:jc_id ~program:"cluster" ~topology:jc_topo
+           ("cluster: " ^ e))
+  end
   | Jsleep _ | Jrun _ ->
   let outcome =
     match job.j_kind with
@@ -345,9 +340,28 @@ let run_job t job =
           ~caches:t.caches req
     end
   in
+  Service.render t.cfg.d_format outcome
+
+(* every accepted job is answered and counted done, even when its body
+   raises: the feeder swallows a raise, and a job left pending would
+   keep its client's drain waiting forever *)
+let run_job t job =
+  let line =
+    match Isolate.protect (fun () -> answer t job) with
+    | Ok line -> line
+    | Error exn ->
+      let id, program, topology =
+        match job.j_kind with
+        | Jcluster { jc_id; jc_topo; _ } -> (jc_id, "cluster", jc_topo)
+        | Jsleep (id, ms) -> (id, "sleep", Printf.sprintf "%.0f" ms)
+        | Jrun req -> (req.Service.rq_id, req.Service.rq_program, req.Service.rq_topology)
+      in
+      Service.render t.cfg.d_format
+        (Service.refusal ~id ~program ~topology ("internal crash: " ^ exn))
+  in
   record_latency t (Clock.elapsed_ms job.j_admit);
-  send cl (Service.render t.cfg.d_format outcome);
-  job_done cl
+  send job.j_client line;
+  job_done job.j_client
 
 (* ------------------------------------------------------------------ *)
 (* admission                                                          *)

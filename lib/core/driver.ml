@@ -8,13 +8,9 @@ module Metrics = Oregami_metrics.Metrics
 type routing = Ctx.routing = Mm_route | Oblivious | Coarse | Auto
 
 type options = Ctx.options = {
-  b : int option;
   routing : routing;
   route_cap : int;
   jobs : int;
-  allow_canned : bool;
-  allow_group : bool;
-  allow_systolic : bool;
   refine : bool;
   seed : int;
   only : string list;

@@ -25,15 +25,11 @@ type routing = Oregami_mapper.Ctx.routing =
   | Auto  (** [Mm_route] below [multilevel_threshold] tasks, [Coarse] above *)
 
 type options = Oregami_mapper.Ctx.options = {
-  b : int option;  (** load-balance bound B for MWM-Contract *)
   routing : routing;
   route_cap : int;  (** candidate shortest routes per pair *)
   jobs : int;
       (** domains for routing independent phases under [Coarse];
           output is byte-identical across widths *)
-  allow_canned : bool;
-  allow_group : bool;
-  allow_systolic : bool;
   refine : bool;  (** pairwise-interchange improvement of the embedding *)
   seed : int;  (** RNG seed for randomized strategies *)
   only : string list;

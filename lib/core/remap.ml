@@ -65,13 +65,7 @@ type plan = {
   worthwhile : bool;
 }
 
-let migration_step topo migration_volume before after =
-  (* every task that moves ships its state in one synchronous step;
-     the simulation itself lives in Netsim so fault recovery can price
-     evacuations with the same model *)
-  Netsim.migration_time ~volume:migration_volume topo before after
-
-let plan ?options ?(migration_volume = 8) tg topo =
+let plan ?options tg topo =
   let ( let* ) = Result.bind in
   let* static_mapping = Driver.map_taskgraph ?options tg topo in
   let static_makespan = (Netsim.run static_mapping).Netsim.makespan in
@@ -99,9 +93,12 @@ let plan ?options ?(migration_volume = 8) tg topo =
   let regime_makespans =
     List.map (fun (_, m) -> (Netsim.run m).Netsim.makespan) regime_mappings
   in
+  (* every task that moves ships its state in one synchronous step;
+     the simulation itself lives in Netsim so fault recovery can price
+     evacuations with the same model *)
   let rec migrations = function
     | (_, a) :: ((_, b) :: _ as rest) ->
-      migration_step topo migration_volume (Mapping.assignment a) (Mapping.assignment b)
+      Netsim.migration_time topo (Mapping.assignment a) (Mapping.assignment b)
       + migrations rest
     | [ _ ] | [] -> 0
   in
@@ -123,12 +120,12 @@ let plan ?options ?(migration_volume = 8) tg topo =
 
 type bill = { b_migration : int; b_makespan : int; b_moved : int }
 
-let bill ?(migration_volume = 8) topo before m =
+let bill topo before m =
   let after = Mapping.assignment m in
   let moved = ref 0 in
   Array.iteri (fun t p -> if p <> after.(t) then incr moved) before;
   {
-    b_migration = Netsim.migration_time ~volume:migration_volume topo before after;
+    b_migration = Netsim.migration_time topo before after;
     b_makespan = (Netsim.run m).Netsim.makespan;
     b_moved = !moved;
   }
@@ -153,7 +150,7 @@ type recovery = {
   rc_repair_wins : bool;
 }
 
-let recover ?options ?migration_volume ?compiled tg topo faults =
+let recover ?options ?compiled tg topo faults =
   let ( let* ) = Result.bind in
   let* () =
     if Faults.is_empty faults then Error "no faults to recover from" else Ok ()
@@ -192,7 +189,7 @@ let recover ?options ?migration_volume ?compiled tg topo faults =
       (fun e -> "from-scratch remap on the degraded topology failed: " ^ e)
       remap_r
   in
-  let price = bill ?migration_volume view.Faults.topo (Mapping.assignment rc_base) in
+  let price = bill view.Faults.topo (Mapping.assignment rc_base) in
   let rc_repair_bill = price rc_repair.Repair.rp_mapping in
   let rc_remap_bill = price rc_remap in
   Ok

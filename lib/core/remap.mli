@@ -7,7 +7,8 @@
     sequence chunks that use disjoint sets of communication phases.
     Each regime gets its own mapping; between consecutive regimes every
     task that changes processor pays a migration message (its state,
-    [migration_volume] units) routed through the network.  The plan
+    {!Oregami_metrics.Netsim.migration_volume} units) routed through
+    the network.  The plan
     compares the single static mapping against the per-regime mappings
     plus migration and says whether remapping pays off. *)
 
@@ -33,13 +34,13 @@ type plan = {
 
 val plan :
   ?options:Driver.options ->
-  ?migration_volume:int ->
   Oregami_taskgraph.Taskgraph.t ->
   Oregami_topology.Topology.t ->
   (plan, string) result
-(** [migration_volume] defaults to 8 units per moved task.  Makespans
-    come from the {!Oregami_metrics.Netsim} simulator; migrations are
-    simulated as one synchronous message step between regimes. *)
+(** Each moved task ships {!Oregami_metrics.Netsim.migration_volume}
+    units.  Makespans come from the {!Oregami_metrics.Netsim}
+    simulator; migrations are simulated as one synchronous message step
+    between regimes. *)
 
 (** {2 Fault recovery}
 
@@ -56,15 +57,14 @@ type bill = {
 (** What one recovery candidate costs a running computation. *)
 
 val bill :
-  ?migration_volume:int ->
   Oregami_topology.Topology.t ->
   int array ->
   Oregami_mapper.Mapping.t ->
   bill
 (** [bill topo before m] prices moving from the task → processor
     assignment [before] onto mapping [m] over [topo] (the machine the
-    move happens on).  [migration_volume] defaults to 8 units per
-    moved task. *)
+    move happens on).  Each moved task ships
+    {!Oregami_metrics.Netsim.migration_volume} units. *)
 
 val repair_wins : repair:bill -> remap:bill -> bool
 (** The recovery rule {!recover} and the online cluster's healing
@@ -87,7 +87,6 @@ type recovery = {
 
 val recover :
   ?options:Driver.options ->
-  ?migration_volume:int ->
   ?compiled:Oregami_larcs.Compile.compiled ->
   Oregami_taskgraph.Taskgraph.t ->
   Oregami_topology.Topology.t ->

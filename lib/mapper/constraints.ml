@@ -45,13 +45,15 @@ let required_class t task = t.require_of.(task)
 
 let pinned t task = if t.pin_of.(task) >= 0 then Some t.pin_of.(task) else None
 
-(* the one predicate every strategy and the repair path share *)
+(* the one predicate every strategy and the repair path share; an
+   empty spec makes it the allow-all filter *)
 let feasible t ~task ~proc =
   proc >= 0 && proc < t.nprocs
-  && (not t.skip.(proc))
-  && (not (Hashtbl.mem t.forbidden (task, proc)))
-  && (t.require_of.(task) = "" || t.require_of.(task) = t.proc_class.(proc))
-  && (t.pin_of.(task) < 0 || t.pin_of.(task) = proc)
+  && ((not t.active)
+     || (not t.skip.(proc))
+        && (not (Hashtbl.mem t.forbidden (task, proc)))
+        && (t.require_of.(task) = "" || t.require_of.(task) = t.proc_class.(proc))
+        && (t.pin_of.(task) < 0 || t.pin_of.(task) = proc))
 
 let compile spec tg topo =
   let n = tg.Taskgraph.n in

@@ -50,15 +50,18 @@ val errors : t -> string list
 
 val active : t -> bool
 (** Whether any constraint is in effect (including program-declared
-    requirements).  When [false], every strategy takes its
-    bit-identical unconstrained path. *)
+    requirements).  When [false], {!feasible} is the allow-all filter;
+    the constraint-unaware strategies run only then, and the pipeline
+    passes NN-Embed no filter at all. *)
 
 val feasible : t -> task:int -> proc:int -> bool
-(** The shared feasibility predicate: the processor is not
-    skip-placement, not forbidden for the task, satisfies the task's
-    required class, and matches the task's pin (if any).  Liveness is
-    the caller's concern ({!Mapping.validate} already rejects dead
-    processors). *)
+(** The shared feasibility predicate: the processor is in range, and —
+    when any constraint is {!active} — not skip-placement, not
+    forbidden for the task, of the task's required class, and the
+    task's pin (if any).  With no constraint active it accepts every
+    in-range processor, so callers need no unconstrained twin.
+    Liveness is the caller's concern ({!Mapping.validate} already
+    rejects dead processors). *)
 
 val skip_proc : t -> int -> bool
 

@@ -29,13 +29,9 @@ let routing_of_string = function
       (Printf.sprintf "unknown routing %S (valid: mm-route, oblivious, coarse, auto)" other)
 
 type options = {
-  b : int option;
   routing : routing;
   route_cap : int;
   jobs : int;
-  allow_canned : bool;
-  allow_group : bool;
-  allow_systolic : bool;
   refine : bool;
   seed : int;
   only : string list;
@@ -49,13 +45,9 @@ type options = {
 
 let default_options =
   {
-    b = None;
     routing = Auto;
     route_cap = 64;
     jobs = 1;
-    allow_canned = true;
-    allow_group = true;
-    allow_systolic = true;
     refine = true;
     seed = 2026;
     only = [];

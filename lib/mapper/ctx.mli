@@ -26,7 +26,6 @@ val routing_of_string : string -> (routing, string) result
     ["coarse"], ["auto"].  The error lists the valid names. *)
 
 type options = {
-  b : int option;  (** load-balance bound B for MWM-Contract *)
   routing : routing;
   route_cap : int;  (** candidate shortest routes per pair *)
   jobs : int;
@@ -34,9 +33,6 @@ type options = {
           concurrently under {!Coarse} routing; results are merged in
           phase order so output is byte-identical to [jobs = 1].  The
           flat passes ignore it. *)
-  allow_canned : bool;
-  allow_group : bool;
-  allow_systolic : bool;
   refine : bool;  (** pairwise-interchange improvement of the embedding *)
   seed : int;
       (** seed for the context RNG — the only randomness source a
@@ -66,10 +62,9 @@ type options = {
 }
 
 val default_options : options
-(** Same defaults as the seed driver ([b = None], [Auto] routing —
-    which resolves to MM-Route at flat-tier sizes — cap 64, [jobs = 1],
-    all dispatch paths allowed, refinement on), [seed = 2026], no
-    selection restrictions. *)
+(** Same defaults as the seed driver ([Auto] routing — which resolves
+    to MM-Route at flat-tier sizes — cap 64, [jobs = 1], refinement
+    on), [seed = 2026], no selection restrictions. *)
 
 type t = {
   compiled : Oregami_larcs.Compile.compiled option;

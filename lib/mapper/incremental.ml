@@ -25,66 +25,32 @@ let try_place ?budget ?feasible static ~activation ~cap topo =
       (Printf.sprintf "capacity too small: %d tasks on %d processors at cap %d"
          n (Topology.alive_count topo) cap)
   else begin
-  let constrained = feasible <> None in
   let may = match feasible with Some f -> f | None -> fun _ _ -> true in
   let dc = Distcache.hops topo in
   let proc_of = Array.make n (-1) in
   let load = Array.make procs 0 in
-  let assign t p =
-    proc_of.(t) <- p;
-    load.(p) <- load.(p) + 1
-  in
-  (* anytime completion once the budget dies: first alive processor
-     with room, skipping the per-processor cost scan *)
-  let assign_cheap t =
-    if not constrained then begin
-      let p = ref 0 in
-      while not (alive !p) || load.(!p) >= cap do incr p done;
-      assign t !p
-    end
-    else begin
-      let best = ref (-1) in
-      let p = ref 0 in
-      while !best = -1 && !p < procs do
-        if alive !p && load.(!p) < cap && may t !p then best := !p;
-        incr p
-      done;
-      if !best = -1 then
-        raise (Stuck (Printf.sprintf "no feasible processor for task %d" t));
-      assign t !best
-    end
-  in
   match
     List.iter
       (fun generation ->
         List.iter
           (fun t ->
-            if not (Budget.poll budget ~cost:procs) then begin
-              Budget.note budget "incremental";
-              assign_cheap t
-            end
-            else begin
-            let cost p =
-              List.fold_left
-                (fun acc (u, w) ->
-                  if proc_of.(u) <> -1 then acc + (w * Distcache.hop dc p proc_of.(u))
-                  else acc)
-                0 (Ugraph.neighbors static t)
-            in
-            let best = ref (-1) and best_key = ref (max_int, max_int, max_int) in
-            for p = 0 to procs - 1 do
-              if alive p && load.(p) < cap && may t p then begin
-                let key = (cost p, load.(p), p) in
-                if key < !best_key then begin
-                  best_key := key;
-                  best := p
-                end
+            let cost =
+              if Budget.poll budget ~cost:procs then Nn_embed.placed_cost dc static proc_of t
+              else begin
+                (* anytime completion once the budget dies: costing
+                   each processor by its id takes the first alive
+                   processor with room, skipping the communication sums *)
+                Budget.note budget "incremental";
+                Fun.id
               end
-            done;
-            if !best = -1 then
-              raise (Stuck (Printf.sprintf "no feasible processor for task %d" t));
-            assign t !best
-            end)
+            in
+            match
+              Nn_embed.cheapest ~eligible:(fun p -> alive p && may t p) ~cost ~load ~cap
+            with
+            | -1 -> raise (Stuck (Printf.sprintf "no feasible processor for task %d" t))
+            | p ->
+              proc_of.(t) <- p;
+              load.(p) <- load.(p) + 1)
           generation)
       (generations activation)
   with

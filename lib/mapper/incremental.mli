@@ -17,21 +17,22 @@ val place :
   Oregami_topology.Topology.t ->
   int array
 (** [place static ~activation ~cap topo] assigns tasks to processors in
-    generation order (ties by task id).  Each arriving task goes to the
-    processor minimising the hop-weighted communication to its
-    already-placed neighbours, among processors with fewer than [cap]
-    tasks (ties: lightest load, then smallest id).  Requires
-    [cap × processors ≥ tasks].
+    generation order (ties by task id).  Each arriving task goes where
+    NN-Embed's rule puts it ({!Nn_embed.cheapest} over
+    {!Nn_embed.placed_cost}): the processor minimising the hop-weighted
+    communication to its already-placed neighbours, among alive
+    processors with fewer than [cap] tasks (ties: lightest load, then
+    smallest id).  Requires [cap × processors ≥ tasks].
 
     An exhausted [budget] places the remaining tasks on the first
-    alive processor with room instead of scanning costs — the
+    alive processor with room instead of summing communication — the
     capacity invariant still holds, recorded as an ["incremental"]
     truncation.
 
-    [feasible t p] (default everything) filters the processors task
-    [t] may occupy — the bridge to {!Constraints.feasible}.  With the
-    filter present, a task with no feasible processor under the
-    capacity bound raises [Invalid_argument] naming the task. *)
+    [feasible t p] (default: allow all) filters the processors task
+    [t] may occupy — the bridge to {!Constraints.feasible}.  A task
+    with no feasible processor under the capacity bound raises
+    [Invalid_argument] naming the task. *)
 
 val try_place :
   ?budget:Budget.t ->

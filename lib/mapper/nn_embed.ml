@@ -9,6 +9,27 @@ let weighted_hops cg topo proc_of_cluster =
       acc + (w * Distcache.hop dc proc_of_cluster.(a) proc_of_cluster.(b)))
     0 (Ugraph.edges cg)
 
+let placed_cost dc g proc_of v p =
+  List.fold_left
+    (fun acc (d, w) ->
+      if d <> v && proc_of.(d) >= 0 then acc + (w * Distcache.hop dc p proc_of.(d)) else acc)
+    0 (Ugraph.neighbors g v)
+
+let cheapest ~eligible ~cost ~load ~cap =
+  let best = ref (-1) and best_cost = ref 0 and best_load = ref 0 in
+  for p = 0 to Array.length load - 1 do
+    if load.(p) < cap && eligible p then begin
+      let c = cost p in
+      (* ascending ids: a later processor wins only a strict improvement *)
+      if !best < 0 || c < !best_cost || (c = !best_cost && load.(p) < !best_load) then begin
+        best := p;
+        best_cost := c;
+        best_load := load.(p)
+      end
+    end
+  done;
+  !best
+
 exception Infeasible of string
 
 let embed ?budget ?fixed ?allowed cg topo =
@@ -19,17 +40,19 @@ let embed ?budget ?fixed ?allowed cg topo =
   let alive = Topology.alive topo in
   if k > Topology.alive_count topo then
     invalid_arg "Nn_embed: more clusters than alive processors";
-  (* the constrained path: [may c v] filters candidate processors per
-     cluster, [fixed] pre-places pinned clusters.  Both default to the
-     unconstrained behaviour bit-for-bit. *)
+  (* [may c v] filters candidate processors per cluster, [fixed]
+     pre-places pinned clusters; without them every alive processor
+     qualifies *)
   let constrained = fixed <> None || allowed <> None in
   let may = match allowed with Some f -> f | None -> fun _ _ -> true in
   let dc = Distcache.hops topo in
   let proc_of = Array.make k (-1) in
-  let proc_used = Array.make p false in
+  (* a used processor carries load 1, so [cheapest ~cap:1] only offers
+     free ones and the embedding stays injective *)
+  let used = Array.make p 0 in
   let place cluster proc =
     proc_of.(cluster) <- proc;
-    proc_used.(proc) <- true
+    used.(proc) <- 1
   in
   (match fixed with
   | None -> ()
@@ -40,37 +63,19 @@ let embed ?budget ?fixed ?allowed cg topo =
         if pr >= 0 then begin
           if not (alive pr) then
             raise (Infeasible (Printf.sprintf "cluster %d pinned to dead processor %d" c pr));
-          if proc_used.(pr) then
+          if used.(pr) > 0 then
             raise
               (Infeasible (Printf.sprintf "two clusters pinned to processor %d" pr));
           place c pr
         end)
       fx);
-  let first_alive () =
-    let v = ref 0 in
-    while not (alive !v) do incr v done;
-    !v
+  (* the free processor cluster [c] accepts at the least [cost] *)
+  let place_cheapest c ~cost =
+    match cheapest ~eligible:(fun v -> alive v && may c v) ~cost ~load:used ~cap:1 with
+    | -1 -> raise (Infeasible (Printf.sprintf "no feasible processor for cluster %d" c))
+    | v -> place c v
   in
-  (* first free processor a cluster accepts, [-1] when none *)
-  let first_free c =
-    let best = ref (-1) in
-    let v = ref 0 in
-    while !best = -1 && !v < p do
-      if alive !v && (not proc_used.(!v)) && may c !v then best := !v;
-      incr v
-    done;
-    !best
-  in
-  let seed_cluster c =
-    if proc_of.(c) = -1 then begin
-      if not constrained then place c (first_alive ())
-      else begin
-        match first_free c with
-        | -1 -> raise (Infeasible (Printf.sprintf "no feasible processor for cluster %d" c))
-        | v -> place c v
-      end
-    end
-  in
+  let place_first_free c = place_cheapest c ~cost:(fun _ -> 0) in
   (* seed: heaviest edge on a max-degree processor and its neighbour *)
   let heaviest =
     List.fold_left
@@ -82,44 +87,32 @@ let embed ?budget ?fixed ?allowed cg topo =
   in
   let tg = Topology.graph topo in
   (match heaviest with
-  | Some (_, a, b) when not constrained ->
-    let seed_proc =
-      let best = ref (first_alive ()) in
-      for v = !best + 1 to p - 1 do
-        if alive v && Ugraph.degree tg v > Ugraph.degree tg !best then best := v
-      done;
-      !best
-    in
-    place a seed_proc;
-    let neighbour =
-      (* on a degraded topology every neighbour of an alive processor
-         is alive (dead nodes keep no links) *)
-      match Ugraph.neighbors tg seed_proc with
-      | (v, _) :: _ -> v
-      | [] ->
-        let v = ref ((seed_proc + 1) mod p) in
-        while not (alive !v) do v := (!v + 1) mod p done;
-        !v
-    in
-    if k > 1 then place b neighbour
   | Some (_, a, b) ->
-    (* constrained seeding: max-degree among the seed's own feasible
-       processors; its partner lands via the growth scan below, which
-       already honours the filter *)
-    if proc_of.(a) = -1 then begin
-      let best = ref (-1) in
-      for v = 0 to p - 1 do
-        if
-          alive v && (not proc_used.(v)) && may a v
-          && (!best = -1 || Ugraph.degree tg v > Ugraph.degree tg !best)
-        then best := v
-      done;
-      match !best with
-      | -1 -> raise (Infeasible (Printf.sprintf "no feasible processor for cluster %d" a))
-      | v -> place a v
-    end;
-    ignore b
-  | None -> if k > 0 then seed_cluster 0);
+    (* costing a processor by its negated degree picks a max-degree one *)
+    if proc_of.(a) = -1 then place_cheapest a ~cost:(fun v -> -Ugraph.degree tg v);
+    (* The partner has two forms.  Unconstrained runs put it on the
+       seed processor's first neighbour in adjacency order, as the
+       mapper always has; constrained runs leave it to the growth scan
+       below, because that neighbour may be forbidden or pinned away.
+       The scan would take the lowest-numbered neighbour instead of
+       the first in adjacency order.  Refinement usually absorbs the
+       difference, but not when a budget stops it early, so folding
+       the two together would move unconstrained mappings. *)
+    if (not constrained) && k > 1 then begin
+      let seed_proc = proc_of.(a) in
+      let neighbour =
+        (* on a degraded topology every neighbour of an alive processor
+           is alive (dead nodes keep no links) *)
+        match Ugraph.neighbors tg seed_proc with
+        | (v, _) :: _ -> v
+        | [] ->
+          let v = ref ((seed_proc + 1) mod p) in
+          while not (alive !v) do v := (!v + 1) mod p done;
+          !v
+      in
+      place b neighbour
+    end
+  | None -> if k > 0 && proc_of.(0) = -1 then place_first_free 0);
   (* grow: most-communicating unplaced cluster onto the cheapest free
      processor *)
   let remaining () =
@@ -134,25 +127,9 @@ let embed ?budget ?fixed ?allowed cg topo =
     | [] -> ()
     | unplaced when not (Budget.poll budget ~cost:(List.length unplaced + p)) ->
       (* anytime completion: drop the attraction/cost scans and stream
-         the remaining clusters onto the first free alive processors *)
+         the remaining clusters onto the first free processors *)
       Budget.note budget "nn-embed";
-      if not constrained then begin
-        let proc = ref 0 in
-        List.iter
-          (fun c ->
-            while not (alive !proc) || proc_used.(!proc) do incr proc done;
-            place c !proc)
-          unplaced
-      end
-      else
-        List.iter
-          (fun c ->
-            match first_free c with
-            | -1 ->
-              raise
-                (Infeasible (Printf.sprintf "no feasible processor for cluster %d" c))
-            | v -> place c v)
-          unplaced
+      List.iter place_first_free unplaced
     | unplaced ->
       let attraction c =
         List.fold_left
@@ -169,27 +146,7 @@ let embed ?budget ?fixed ?allowed cg topo =
       in
       (match next with
       | None -> ()
-      | Some (_, c) ->
-        let cost proc =
-          List.fold_left
-            (fun acc (d, w) ->
-              if proc_of.(d) <> -1 then acc + (w * Distcache.hop dc proc proc_of.(d))
-              else acc)
-            0 (Ugraph.neighbors cg c)
-        in
-        let best = ref (-1) and best_cost = ref max_int in
-        for proc = 0 to p - 1 do
-          if alive proc && (not proc_used.(proc)) && may c proc then begin
-            let cost = cost proc in
-            if cost < !best_cost then begin
-              best_cost := cost;
-              best := proc
-            end
-          end
-        done;
-        if !best = -1 then
-          raise (Infeasible (Printf.sprintf "no feasible processor for cluster %d" c));
-        place c !best);
+      | Some (_, c) -> place_cheapest c ~cost:(placed_cost dc cg proc_of c));
       grow ()
   in
   grow ();

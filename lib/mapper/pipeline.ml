@@ -1,4 +1,5 @@
 module Taskgraph = Oregami_taskgraph.Taskgraph
+module Topology = Oregami_topology.Topology
 module Distcache = Oregami_topology.Distcache
 module Ugraph = Oregami_graph.Ugraph
 module Clock = Oregami_prelude.Clock
@@ -9,8 +10,9 @@ let now () = Clock.now ()
    their cluster graph, then pairwise-interchange refinement.  With
    constraints active the per-task rules are projected onto the
    candidate's clusters (a cluster merging incompatible tasks rejects
-   the candidate by name) and both passes run filtered; the
-   unconstrained path is bit-identical to the historical one. *)
+   the candidate by name) and both passes take the projection as their
+   filter; an unconstrained run passes none, which allows every alive
+   processor. *)
 let place ctx (cand : Strategy.candidate) =
   match cand.Strategy.placement with
   | Strategy.Placed proc_of_cluster ->
@@ -29,45 +31,30 @@ let place ctx (cand : Strategy.candidate) =
         if cu <> cv then Ugraph.add_edge ~w cg cu cv)
       (Ugraph.edges (Ctx.static ctx));
     let budget = ctx.Ctx.budget in
+    let filter =
+      if not (Ctx.constrained ctx) then Ok (None, None)
+      else begin
+        let cons = ctx.Ctx.constraints in
+        Constraints.project cons ~clusters:cand.Strategy.clusters
+          ~cluster_of:cand.Strategy.cluster_of
+        |> Result.map (fun pj ->
+               (Some pj.Constraints.pj_fixed, Some (Constraints.cluster_allowed cons pj)))
+      end
+    in
     let result =
-      if not (Ctx.constrained ctx) then begin
-        let proc_of_cluster = Nn_embed.embed ~budget cg ctx.Ctx.topo in
-        if ctx.Ctx.options.Ctx.refine then begin
+      match filter with
+      | Error e -> Error e
+      | Ok (fixed, allowed) -> begin
+        match Nn_embed.embed ~budget ?fixed ?allowed cg ctx.Ctx.topo with
+        | exception Nn_embed.Infeasible msg -> Error ("embedding infeasible: " ^ msg)
+        | proc_of_cluster when not ctx.Ctx.options.Ctx.refine -> Ok proc_of_cluster
+        | proc_of_cluster ->
           let swaps = ref 0 in
           let refined =
-            Refine.improve_embedding ~budget ~swaps cg ctx.Ctx.topo proc_of_cluster
+            Refine.improve_embedding ~budget ~swaps ?allowed cg ctx.Ctx.topo proc_of_cluster
           in
           Stats.add_refine_swaps ctx.Ctx.stats !swaps;
           Ok refined
-        end
-        else Ok proc_of_cluster
-      end
-      else begin
-        let cons = ctx.Ctx.constraints in
-        match
-          Constraints.project cons ~clusters:cand.Strategy.clusters
-            ~cluster_of:cand.Strategy.cluster_of
-        with
-        | Error e -> Error e
-        | Ok pj -> begin
-          let allowed = Constraints.cluster_allowed cons pj in
-          match
-            Nn_embed.embed ~budget ~fixed:pj.Constraints.pj_fixed ~allowed cg
-              ctx.Ctx.topo
-          with
-          | exception Nn_embed.Infeasible msg -> Error ("embedding infeasible: " ^ msg)
-          | proc_of_cluster ->
-            if ctx.Ctx.options.Ctx.refine then begin
-              let swaps = ref 0 in
-              let refined =
-                Refine.improve_embedding ~budget ~swaps ~allowed cg ctx.Ctx.topo
-                  proc_of_cluster
-              in
-              Stats.add_refine_swaps ctx.Ctx.stats !swaps;
-              Ok refined
-            end
-            else Ok proc_of_cluster
-        end
       end
     in
     Stats.add_phase_seconds ctx.Ctx.stats "embed" (now () -. t0);
@@ -177,8 +164,9 @@ let no_strategy_error stats =
    processors — O(n), needs no analysis, valid whenever the (possibly
    degraded) machine is still connected.  Under constraints the blocks
    become a greedy feasible assignment: pins first, then each task on
-   the least-loaded feasible placeable processor (soft cap ⌈n/p⌉ keeps
-   it balanced); no feasible processor rejects the fallback by name. *)
+   the least-loaded feasible alive processor (NN-Embed's rule at cost
+   0, under the soft cap ⌈n/p⌉ while one has room); no feasible
+   processor rejects the fallback by name. *)
 let fallback_candidate ctx =
   let n = ctx.Ctx.tg.Taskgraph.n in
   if not (Ctx.constrained ctx) then begin
@@ -194,15 +182,16 @@ let fallback_candidate ctx =
   end
   else begin
     let cons = ctx.Ctx.constraints in
-    let placeable = ctx.Ctx.placeable in
-    let p = Array.length placeable in
+    let p = Ctx.procs ctx in
     if p = 0 then Error "fallback: no placeable processors"
     else begin
       let cap = (n + p - 1) / p in
-      let nprocs = Oregami_topology.Topology.node_count ctx.Ctx.topo in
-      let load = Array.make nprocs 0 in
+      let topo = ctx.Ctx.topo in
+      let load = Array.make (Topology.node_count topo) 0 in
       let proc_of_task = Array.make n (-1) in
-      let feasible t pr = Constraints.feasible cons ~task:t ~proc:pr in
+      let feasible t pr =
+        Topology.alive topo pr && Constraints.feasible cons ~task:t ~proc:pr
+      in
       (* pins first so pinned processors carry their load before the
          balance scan considers them *)
       for t = 0 to n - 1 do
@@ -215,24 +204,10 @@ let fallback_candidate ctx =
       let err = ref None in
       for t = 0 to n - 1 do
         if !err = None && proc_of_task.(t) = -1 then begin
-          (* least-loaded feasible placeable processor, under the soft
-             cap when possible; smallest id breaks ties *)
-          let best = ref (-1) and best_load = ref max_int in
-          let capped = ref (-1) and capped_load = ref max_int in
-          Array.iter
-            (fun pr ->
-              if feasible t pr then begin
-                if load.(pr) < !best_load then begin
-                  best := pr;
-                  best_load := load.(pr)
-                end;
-                if load.(pr) < cap && load.(pr) < !capped_load then begin
-                  capped := pr;
-                  capped_load := load.(pr)
-                end
-              end)
-            placeable;
-          let choice = if !capped <> -1 then !capped else !best in
+          let pick cap =
+            Nn_embed.cheapest ~eligible:(feasible t) ~cost:(fun _ -> 0) ~load ~cap
+          in
+          let choice = match pick cap with -1 -> pick max_int | pr -> pr in
           if choice = -1 then
             err :=
               Some (Printf.sprintf "fallback: no feasible processor for task %d" t)

@@ -4,13 +4,6 @@ module Distcache = Oregami_topology.Distcache
 
 let objective = Nn_embed.weighted_hops
 
-(* cost contribution of one cluster under a tentative processor,
-   against the current positions of the others *)
-let cluster_cost dc cg proc_of c p =
-  List.fold_left
-    (fun acc (d, w) -> if d = c then acc else acc + (w * Distcache.hop dc p proc_of.(d)))
-    0 (Ugraph.neighbors cg c)
-
 let improve_embedding ?(max_rounds = 10) ?budget ?swaps ?allowed cg topo
     proc_of_cluster =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
@@ -20,6 +13,9 @@ let improve_embedding ?(max_rounds = 10) ?budget ?swaps ?allowed cg topo
   let p = Topology.node_count topo in
   let dc = Distcache.hops topo in
   let proc_of = Array.copy proc_of_cluster in
+  (* cost contribution of one cluster under a tentative processor,
+     against the current positions of the others *)
+  let cost = Nn_embed.placed_cost dc cg proc_of in
   let occupant = Array.make p (-1) in
   Array.iteri (fun c pr -> occupant.(pr) <- c) proc_of;
   let improved = ref true in
@@ -45,8 +41,8 @@ let improve_embedding ?(max_rounds = 10) ?budget ?swaps ?allowed cg topo
           match occupant.(target) with
           | -1 ->
             (* move c to a free processor *)
-            let before = cluster_cost dc cg proc_of c pc in
-            let after = cluster_cost dc cg proc_of c target in
+            let before = cost c pc in
+            let after = cost c target in
             if after < before && may c target then begin
               occupant.(pc) <- -1;
               occupant.(target) <- c;
@@ -57,14 +53,10 @@ let improve_embedding ?(max_rounds = 10) ?budget ?swaps ?allowed cg topo
           | d ->
             (* swap clusters c and d; edge c-d keeps its length *)
             let pd = target in
-            let before =
-              cluster_cost dc cg proc_of c pc + cluster_cost dc cg proc_of d pd
-            in
+            let before = cost c pc + cost d pd in
             proc_of.(c) <- pd;
             proc_of.(d) <- pc;
-            let after =
-              cluster_cost dc cg proc_of c pd + cluster_cost dc cg proc_of d pc
-            in
+            let after = cost c pd + cost d pc in
             if after < before && may c pd && may d pc then begin
               occupant.(pc) <- d;
               occupant.(pd) <- c;

@@ -9,33 +9,16 @@ type t = { rp_mapping : Mapping.t; rp_moves : move list; rp_frozen : int }
 
 let moved r = List.length r.rp_moves
 
-(* Incremental-placer cost rule (see Incremental.place): hop-weighted
-   communication from a candidate processor to the task's already-placed
-   neighbours; ties broken by lighter load, then smaller id. *)
+(* NN-Embed's placement rule (Nn_embed.cheapest): the surviving
+   processor with the least hop-weighted communication to the task's
+   placed neighbours, ties by lighter load, then smaller id — below the
+   balance cap when one has room, else anywhere *)
 let evacuate static dc degraded allowed feasible proc_of load cap_load t =
-  let cost p =
-    List.fold_left
-      (fun acc (u, w) ->
-        if proc_of.(u) >= 0 then acc + (w * Distcache.hop dc p proc_of.(u)) else acc)
-      0 (Ugraph.neighbors static t)
-  in
-  let pick ~capped =
-    let best = ref (-1) and best_key = ref (max_int, max_int, max_int) in
-    for p = 0 to Topology.node_count degraded - 1 do
-      if
-        Topology.alive degraded p && allowed p && feasible t p
-        && ((not capped) || load.(p) < cap_load)
-      then begin
-        let key = (cost p, load.(p), p) in
-        if key < !best_key then begin
-          best_key := key;
-          best := p
-        end
-      end
-    done;
-    !best
-  in
-  match pick ~capped:true with -1 -> pick ~capped:false | p -> p
+  let eligible p = Topology.alive degraded p && allowed p && feasible t p in
+  let cost = Nn_embed.placed_cost dc static proc_of t in
+  match Nn_embed.cheapest ~eligible ~cost ~load ~cap:cap_load with
+  | -1 -> Nn_embed.cheapest ~eligible ~cost ~load ~cap:max_int
+  | p -> p
 
 let repair ?(options = Ctx.default_options) ?(allowed = fun _ -> true) (m : Mapping.t)
     degraded =
@@ -58,11 +41,7 @@ let repair ?(options = Ctx.default_options) ?(allowed = fun _ -> true) (m : Mapp
       match Constraints.errors ctx.Ctx.constraints with
       | e :: _ -> Error ("constraints unsatisfiable after faults: " ^ e)
       | [] ->
-      let feasible =
-        if Ctx.constrained ctx then fun t p ->
-          Constraints.feasible ctx.Ctx.constraints ~task:t ~proc:p
-        else fun _ _ -> true
-      in
+      let feasible t p = Constraints.feasible ctx.Ctx.constraints ~task:t ~proc:p in
       let before = Mapping.assignment m in
       let static = Ctx.static ctx in
       (* surviving placements are frozen; only tasks stranded on a dead

@@ -42,8 +42,6 @@ let fits_flat name ctx =
          "graph exceeds the flat sweet spot (%d > %d tasks), multilevel territory; force with --only %s"
          n threshold name)
 
-let gate flag name ctx = if flag ctx.Ctx.options then Ok () else Error ("disabled (" ^ name ^ " = false)")
-
 (* strategies that emit a fixed [Placed] assignment without consulting
    the feasibility predicate must decline constrained runs by name;
    the [Embed] producers respect constraints through the shared
@@ -292,7 +290,7 @@ let group_produce ctx =
 
 let mwm_produce ctx =
   match
-    Mwm_contract.contract ?b:ctx.Ctx.options.Ctx.b ~budget:ctx.Ctx.budget
+    Mwm_contract.contract ~budget:ctx.Ctx.budget
       (Ctx.static ctx) ~procs:(Ctx.procs ctx)
   with
   | Error e -> Error e
@@ -406,12 +404,9 @@ let registry () =
       doc = "canned contraction/embedding for nameable families (\u{00a7}4.1)";
       available =
         (fun ctx ->
-          match gate (fun o -> o.Ctx.allow_canned) "allow_canned" ctx with
+          match intact "canned" ctx with
           | Error _ as e -> e
-          | Ok () -> (
-            match intact "canned" ctx with
-            | Error _ as e -> e
-            | Ok () -> unconstrained "canned" ctx));
+          | Ok () -> unconstrained "canned" ctx);
       produce = canned_produce;
     };
     {
@@ -421,9 +416,7 @@ let registry () =
       doc = "uniform-recurrence lattice placement / space-time projection (\u{00a7}4.2.1)";
       available =
         (fun ctx ->
-          if not ctx.Ctx.options.Ctx.allow_systolic then
-            Error "disabled (allow_systolic = false)"
-          else if ctx.Ctx.compiled = None then Error "no compiled program (bare task graph)"
+          if ctx.Ctx.compiled = None then Error "no compiled program (bare task graph)"
           else
             match intact "systolic" ctx with
             | Error _ as e -> e
@@ -435,11 +428,7 @@ let registry () =
       tier = Dispatch;
       default_on = true;
       doc = "Cayley-graph coset contraction (\u{00a7}4.2.2)";
-      available =
-        (fun ctx ->
-          match gate (fun o -> o.Ctx.allow_group) "allow_group" ctx with
-          | Error _ as e -> e
-          | Ok () -> intact "group" ctx);
+      available = intact "group";
       produce = group_produce;
     };
     {

@@ -69,8 +69,10 @@ let simulate_wormhole params topo messages =
   (!finish_time, !max_queue)
 
 (* Simulate one communication step with per-message release times;
-   returns (finish time of the last message, deepest queue). *)
-let simulate_store_and_forward params topo messages =
+   returns (finish time of the last message, deepest queue).  [on_hop]
+   sees every channel transmission as (channel, start, finish, volume),
+   in simulation order. *)
+let simulate_store_and_forward ?(on_hop = fun _ _ _ _ -> ()) params topo messages =
   let nchannels = 2 * Topology.link_count topo in
   let busy_until = Array.make nchannels 0 in
   let queue_depth = Array.make nchannels 0 in
@@ -108,6 +110,7 @@ let simulate_store_and_forward params topo messages =
         else queue_depth.(ch) <- 0;
         let finish = start + hop_time volume in
         busy_until.(ch) <- finish;
+        on_hop ch start finish volume;
         Pqueue.push pq finish (rest, next_node, volume);
         drain ()
     end
@@ -121,42 +124,6 @@ let channel_name topo ch =
   let link = ch / 2 in
   let u, v = Topology.link_endpoints topo link in
   if ch land 1 = 0 then Printf.sprintf "%d->%d" u v else Printf.sprintf "%d->%d" v u
-
-(* store-and-forward with span recording (mirrors the simulator's
-   channel discipline; kept separate to keep the hot path lean) *)
-let simulate_spans params topo messages =
-  let nchannels = 2 * Topology.link_count topo in
-  let busy_until = Array.make nchannels 0 in
-  let spans = ref [] in
-  let pq = Pqueue.create () in
-  List.iter
-    (fun (route, volume, release) ->
-      match route.Routes.nodes with
-      | src :: _ -> Pqueue.push pq release (route.Routes.links, src, volume)
-      | [] -> ())
-    messages;
-  let hop_time volume = ((volume + params.bandwidth - 1) / params.bandwidth) + params.latency in
-  let rec drain () =
-    match Pqueue.pop pq with
-    | None -> ()
-    | Some (t, (links, node, volume)) -> begin
-      match links with
-      | [] -> drain ()
-      | link :: rest ->
-        let u, v = Topology.link_endpoints topo link in
-        let forward = node = u in
-        let next_node = if forward then v else u in
-        let ch = channel link forward in
-        let start = max t busy_until.(ch) in
-        let finish = start + hop_time volume in
-        busy_until.(ch) <- finish;
-        spans := { sp_channel = ch; sp_start = start; sp_finish = finish; sp_volume = volume } :: !spans;
-        Pqueue.push pq finish (rest, next_node, volume);
-        drain ()
-    end
-  in
-  drain ();
-  List.rev !spans
 
 let simulate_released params topo messages =
   match params.switching with
@@ -202,6 +169,12 @@ let exec_loads (m : Mapping.t) =
       (ep.Taskgraph.ep_name, per_proc))
     tg.Taskgraph.exec_phases
 
+(* one trace slot: its execution time, communication time and deepest
+   channel queue *)
+let simulate_slot params loads (m : Mapping.t) slot =
+  let c, q = simulate_messages params m.Mapping.topo (slot_messages m slot) in
+  (exec_slot_time loads slot, c, q)
+
 let run ?(params = default_params) (m : Mapping.t) =
   let loads = exec_loads m in
   let trace = Phase_expr.trace m.Mapping.tg.Taskgraph.expr in
@@ -209,8 +182,7 @@ let run ?(params = default_params) (m : Mapping.t) =
   let slot_times =
     List.map
       (fun slot ->
-        let e = exec_slot_time loads slot in
-        let c, q = simulate_messages params m.Mapping.topo (slot_messages m slot) in
+        let e, c, q = simulate_slot params loads m slot in
         max_queue := max !max_queue q;
         comm_time := !comm_time + c;
         exec_time := !exec_time + e;
@@ -228,7 +200,9 @@ let run ?(params = default_params) (m : Mapping.t) =
 (* ------------------------------------------------------------------ *)
 (* migration pricing and mid-trace fault events                       *)
 
-let migration_time ?(params = default_params) ?(volume = 8) topo before after =
+let migration_volume = 8
+
+let migration_time ?(params = default_params) topo before after =
   if Array.length before <> Array.length after then
     invalid_arg "Netsim.migration_time: assignment lengths differ";
   (* every task that moves ships its state in one synchronous step over
@@ -250,7 +224,7 @@ let migration_time ?(params = default_params) ?(volume = 8) topo before after =
       let q = after.(t) in
       if p <> q then begin
         let src = if Topology.alive topo p then p else host in
-        messages := (Distcache.deterministic topo src q, volume, 0) :: !messages
+        messages := (Distcache.deterministic topo src q, migration_volume, 0) :: !messages
       end)
     before;
   if !messages = [] then 0 else fst (simulate_released params topo !messages)
@@ -267,13 +241,11 @@ type recovery = {
   rv_repair : Repair.t;
 }
 
-let slot_time params loads (m : Mapping.t) slot =
-  let e = exec_slot_time loads slot in
-  let c, _ = simulate_messages params m.Mapping.topo (slot_messages m slot) in
+let slot_time params loads m slot =
+  let e, c, _ = simulate_slot params loads m slot in
   e + c
 
-let run_with_fault ?(params = default_params) ?(migration_volume = 8) ?options
-    (m : Mapping.t) event =
+let run_with_fault ?(params = default_params) ?options (m : Mapping.t) event =
   let ( let* ) = Result.bind in
   let* faults =
     Faults.make ~procs:event.kill_procs ~links:event.kill_links m.Mapping.topo
@@ -294,8 +266,8 @@ let run_with_fault ?(params = default_params) ?(migration_volume = 8) ?options
       else post := !post + slot_time params loads_after repaired slot)
     trace;
   let rv_migration_time =
-    migration_time ~params ~volume:migration_volume view.Faults.topo
-      (Mapping.assignment m) (Mapping.assignment repaired)
+    migration_time ~params view.Faults.topo (Mapping.assignment m)
+      (Mapping.assignment repaired)
   in
   let rv_fault_free = run ~params m in
   let rv_makespan = !pre + rv_migration_time + !post in
@@ -317,57 +289,9 @@ let phase_duration ?(params = default_params) (m : Mapping.t) name =
 let spans ?(params = default_params) (m : Mapping.t) phase =
   let slot = { Phase_expr.comms = [ phase ]; execs = [] } in
   let messages = List.map (fun (r, v) -> (r, v, 0)) (slot_messages m slot) in
-  simulate_spans params m.Mapping.topo messages
-
-(* ------------------------------------------------------------------ *)
-(* Occupancy metrics for the online cluster: how much of the surviving
-   machine is leased out, and how shattered the free space is. *)
-
-let utilization topo ~leased =
-  let alive = Topology.alive_count topo in
-  if alive = 0 then 0.0
-  else begin
-    let busy =
-      List.fold_left
-        (fun acc p -> if Topology.alive topo p then acc + 1 else acc)
-        0 (List.sort_uniq compare leased)
-    in
-    float_of_int busy /. float_of_int alive
-  end
-
-let fragmentation topo ~free =
-  let free = List.sort_uniq compare free in
-  let free = List.filter (Topology.alive topo) free in
-  match free with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let total = List.length free in
-    let in_free = Hashtbl.create total in
-    List.iter (fun p -> Hashtbl.replace in_free p ()) free;
-    let g = Topology.graph topo in
-    let seen = Hashtbl.create total in
-    (* BFS restricted to free processors: largest contiguous free block *)
-    let component seed =
-      let q = Queue.create () in
-      Queue.add seed q;
-      Hashtbl.replace seen seed ();
-      let size = ref 0 in
-      while not (Queue.is_empty q) do
-        let p = Queue.pop q in
-        incr size;
-        List.iter
-          (fun (u, _) ->
-            if Hashtbl.mem in_free u && not (Hashtbl.mem seen u) then begin
-              Hashtbl.replace seen u ();
-              Queue.add u q
-            end)
-          (Oregami_graph.Ugraph.neighbors g p)
-      done;
-      !size
-    in
-    let largest =
-      List.fold_left
-        (fun acc p -> if Hashtbl.mem seen p then acc else max acc (component p))
-        0 free
-    in
-    1.0 -. (float_of_int largest /. float_of_int total)
+  let spans = ref [] in
+  let on_hop sp_channel sp_start sp_finish sp_volume =
+    spans := { sp_channel; sp_start; sp_finish; sp_volume } :: !spans
+  in
+  ignore (simulate_store_and_forward ~on_hop params m.Mapping.topo messages);
+  List.rev !spans

@@ -74,11 +74,16 @@ val simulate_released :
 
 (** {2 Migration pricing and mid-trace fault events} *)
 
+val migration_volume : int
+(** The state one migrating task ships, in volume units: 8.  Every
+    migration price — phase-shift remapping, fault recovery, the online
+    cluster's healing and re-packing — uses it. *)
+
 val migration_time :
-  ?params:params -> ?volume:int -> Oregami_topology.Topology.t -> int array -> int array -> int
+  ?params:params -> Oregami_topology.Topology.t -> int array -> int array -> int
 (** [migration_time topo before after] is the simulated cost of one
     synchronous migration step between two task assignments: every task
-    whose processor changes ships [volume] units (default 8) over the
+    whose processor changes ships {!migration_volume} units over the
     topology's deterministic route — the [Remap] cost model.  On a
     degraded topology, a task moving {e off a dead processor} restores
     its state from the lowest-numbered alive processor (the
@@ -104,7 +109,6 @@ type recovery = {
 
 val run_with_fault :
   ?params:params ->
-  ?migration_volume:int ->
   ?options:Oregami_mapper.Ctx.options ->
   Oregami_mapper.Mapping.t ->
   fault_event ->
@@ -120,17 +124,3 @@ val run_with_fault :
     run on the repaired mapping.  Errors (never crashes) on invalid
     fault ids, an empty fault set, faults that disconnect the
     survivors, or an unrepairable mapping. *)
-
-val utilization : Oregami_topology.Topology.t -> leased:int list -> float
-(** Fraction of the {e alive} processors currently under lease —
-    duplicates and dead ids in [leased] are ignored.  [0.] on a machine
-    with nothing alive. *)
-
-val fragmentation : Oregami_topology.Topology.t -> free:int list -> float
-(** How shattered the free space is: [1 - largest contiguous free
-    block / total free processors], where contiguity is adjacency in
-    the (possibly degraded) topology restricted to free alive
-    processors.  [0.] when the free space is empty, a single processor,
-    or one connected block; approaches [1.] as the free processors
-    scatter into many small islands.  Drives the cluster's re-pack
-    decision. *)

@@ -484,39 +484,72 @@ let known_kinds =
     "bintree:D"; "binomial:K"; "butterfly:K"; "ccc:D"; "hex:RxC"; "star:N";
     "debruijn:K"; "shuffle:K" ]
 
+let max_procs = 8192
+
+(* the processor count of a kind whose sizes passed [parse]'s range
+   checks, saturating at [max_procs + 1] so no size overflows *)
+let bounded_count kind =
+  let over = max_procs + 1 in
+  let mul a b = if a > over / b then over else min over (a * b) in
+  let pow2 d = if d >= 14 then over else 1 lsl d in
+  match kind with
+  | Line n | Ring n | Complete n -> min over n
+  | Mesh (r, c) | Torus (r, c) | Hex_mesh (r, c) -> mul r c
+  | Hypercube d | Binomial_tree d | De_bruijn d | Shuffle_exchange d -> pow2 d
+  | Binary_tree d -> if d >= 13 then over else pow2 (d + 1) - 1
+  | Butterfly k -> mul (pow2 k) (min over (k + 1))
+  | Cube_connected_cycles d -> mul (pow2 d) (min over d)
+  | Star_graph n -> List.fold_left ( * ) 1 (List.init n (fun i -> i + 1))
+
 let parse s =
+  let ( let* ) = Result.bind in
   match String.split_on_char ':' s with
   | [ family; arg ] -> begin
-    let int () =
+    let fail fmt = Printf.ksprintf (fun m -> Error (family ^ " " ^ m)) fmt in
+    (* the ranges [build_graph] accepts, as named errors *)
+    let at_least lo what n =
+      if n >= lo then Ok n else fail "%s must be at least %d, got %d" what lo n
+    in
+    let int lo what =
       match int_of_string_opt arg with
-      | Some n -> Ok n
-      | None -> Error (Printf.sprintf "bad integer argument %S" arg)
+      | Some n -> at_least lo what n
+      | None -> fail "%s %S is not an integer" what arg
     in
     let dims () =
       match String.split_on_char 'x' arg with
       | [ a; b ] -> begin
         match (int_of_string_opt a, int_of_string_opt b) with
-        | Some r, Some c -> Ok (r, c)
-        | _, _ -> Error (Printf.sprintf "bad dimensions %S (want RxC)" arg)
+        | Some r, Some c ->
+          let* r = at_least 1 "rows" r in
+          let* c = at_least 1 "cols" c in
+          Ok (r, c)
+        | _, _ -> fail "dimensions %S are not RxC" arg
       end
-      | _ -> Error (Printf.sprintf "bad dimensions %S (want RxC)" arg)
+      | _ -> fail "dimensions %S are not RxC" arg
     in
-    match family with
-    | "line" -> Result.map (fun n -> Line n) (int ())
-    | "ring" -> Result.map (fun n -> Ring n) (int ())
-    | "mesh" -> Result.map (fun (r, c) -> Mesh (r, c)) (dims ())
-    | "torus" -> Result.map (fun (r, c) -> Torus (r, c)) (dims ())
-    | "hypercube" | "cube" -> Result.map (fun d -> Hypercube d) (int ())
-    | "complete" -> Result.map (fun n -> Complete n) (int ())
-    | "bintree" -> Result.map (fun d -> Binary_tree d) (int ())
-    | "binomial" -> Result.map (fun k -> Binomial_tree k) (int ())
-    | "butterfly" -> Result.map (fun k -> Butterfly k) (int ())
-    | "ccc" -> Result.map (fun d -> Cube_connected_cycles d) (int ())
-    | "hex" -> Result.map (fun (r, c) -> Hex_mesh (r, c)) (dims ())
-    | "star" -> Result.map (fun n -> Star_graph n) (int ())
-    | "debruijn" -> Result.map (fun k -> De_bruijn k) (int ())
-    | "shuffle" -> Result.map (fun k -> Shuffle_exchange k) (int ())
-    | other -> Error (Printf.sprintf "unknown topology family %S" other)
+    let* kind =
+      match family with
+      | "line" -> Result.map (fun n -> Line n) (int 1 "size")
+      | "ring" -> Result.map (fun n -> Ring n) (int 1 "size")
+      | "mesh" -> Result.map (fun (r, c) -> Mesh (r, c)) (dims ())
+      | "torus" -> Result.map (fun (r, c) -> Torus (r, c)) (dims ())
+      | "hypercube" | "cube" -> Result.map (fun d -> Hypercube d) (int 0 "dimension")
+      | "complete" -> Result.map (fun n -> Complete n) (int 1 "size")
+      | "bintree" -> Result.map (fun d -> Binary_tree d) (int 0 "depth")
+      | "binomial" -> Result.map (fun k -> Binomial_tree k) (int 0 "order")
+      | "butterfly" -> Result.map (fun k -> Butterfly k) (int 1 "stages")
+      | "ccc" -> Result.map (fun d -> Cube_connected_cycles d) (int 3 "dimension")
+      | "hex" -> Result.map (fun (r, c) -> Hex_mesh (r, c)) (dims ())
+      | "star" ->
+        let* n = int 2 "order" in
+        if n > 7 then fail "order must be at most 7, got %d" n else Ok (Star_graph n)
+      | "debruijn" -> Result.map (fun k -> De_bruijn k) (int 1 "order")
+      | "shuffle" -> Result.map (fun k -> Shuffle_exchange k) (int 1 "order")
+      | other -> Error (Printf.sprintf "unknown topology family %S" other)
+    in
+    if bounded_count kind > max_procs then
+      Error (Printf.sprintf "%s exceeds the %d-processor cap" s max_procs)
+    else Ok kind
   end
   | _ -> Error (Printf.sprintf "bad topology %S (want family:args)" s)
 

@@ -122,11 +122,22 @@ val mesh_coords : t -> int -> int * int
 val mesh_node : t -> int * int -> int
 (** Inverse of {!mesh_coords}. *)
 
+val max_procs : int
+(** The most processors a parsed topology may have: 8192.  That admits
+    every machine the experiments build (the largest is [torus:64x64])
+    and [star:7]; the hop matrix of a machine at the cap takes 512 MB. *)
+
 val parse : string -> (kind, string) result
 (** Parses CLI notation: ["ring:8"], ["mesh:4x4"], ["torus:4x8"],
     ["hypercube:3"], ["line:5"], ["complete:6"], ["bintree:3"],
     ["binomial:4"], ["butterfly:3"], ["ccc:3"], ["hex:3x4"],
-    ["star:4"], ["debruijn:4"], ["shuffle:4"]. *)
+    ["star:4"], ["debruijn:4"], ["shuffle:4"].
+
+    Every size {!make} would reject, and every spec with more than
+    {!max_procs} processors, is an [Error] that starts with the family
+    and names the offending field (e.g. ["mesh rows must be at least 1,
+    got 0"]); the count is computed without overflow, so
+    ["hypercube:70"] is refused too.  Builds nothing. *)
 
 val of_string : string -> (t, string) result
 (** Parses a full topology spec, i.e. {!parse} notation optionally

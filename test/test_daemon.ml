@@ -411,6 +411,27 @@ let test_cluster_verb_tail () =
       Alcotest.(check bool) "summary after errors" true (contains (hear c) "(cluster ");
       hangup c)
 
+(* a machine the family cannot build, or one past the processor cap,
+   is a named cluster error; the job is answered and counted done, so
+   the daemon still drains *)
+let test_cluster_verb_bad_machine () =
+  with_daemon (fun path ->
+      let c = dial path in
+      let error line =
+        say c line;
+        match fields (hear c) with
+        | [ _; "cluster"; _; "error"; _; _; _; _; _; _; error ] -> error
+        | _ -> Alcotest.fail "not a cluster error line"
+      in
+      Alcotest.(check string) "zero rows" "cluster: mesh rows must be at least 1, got 0"
+        (error "cluster mesh:0x4 synth:5");
+      Alcotest.(check string) "past the cap"
+        "cluster: hypercube:70 exceeds the 8192-processor cap"
+        (error "cluster hypercube:70 synth:5");
+      say c "cluster mesh:2x2 synth:5";
+      Alcotest.(check bool) "a good machine still runs" true (contains (hear c) "(cluster ");
+      hangup c)
+
 let () =
   (* a client that hangs up mid-answer must surface as EPIPE on the
      daemon's write, not kill this process *)
@@ -438,5 +459,7 @@ let () =
             test_stats_prometheus;
           Alcotest.test_case "cluster verb" `Quick test_cluster_verb;
           Alcotest.test_case "cluster verb tail" `Quick test_cluster_verb_tail;
+          Alcotest.test_case "cluster verb on a bad machine" `Quick
+            test_cluster_verb_bad_machine;
         ] );
     ]

@@ -36,15 +36,15 @@ let test_dispatch_choices () =
     (strategy (Workloads.matmul3d ~n:4) "mesh:4x4")
 
 let test_dispatch_flags () =
-  (* disabling paths forces the fallback *)
+  (* excluding dispatch paths forces the fallback *)
   let spec = Workloads.fft ~d:3 in
   let no_canned =
-    { Driver.default_options with Driver.allow_canned = false }
+    { Driver.default_options with Driver.exclude = [ "canned" ] }
   in
   let m = map_workload ~options:no_canned spec "hypercube:3" in
   Alcotest.(check string) "canned disabled -> group" "group-theoretic" m.Mapping.strategy;
   let neither =
-    { Driver.default_options with Driver.allow_canned = false; allow_group = false }
+    { Driver.default_options with Driver.exclude = [ "canned"; "group" ] }
   in
   let m = map_workload ~options:neither spec "hypercube:3" in
   Alcotest.(check bool) "both disabled -> general path" true

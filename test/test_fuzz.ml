@@ -316,6 +316,90 @@ let trace_lines =
           List.exists (names e) toks
           || QCheck.Test.fail_reportf "error %S names no token of %S" e line))
 
+(* topology, synthetic-program and chaos specs: no spec raises, and
+   every [Error] names the field it refuses — the family of a topology
+   (or "topology" / "class" for the spec's shape and class suffix), the
+   synth field, or the chaos event *)
+let topology_families =
+  [| "line"; "ring"; "mesh"; "torus"; "hypercube"; "cube"; "complete"; "bintree";
+     "binomial"; "butterfly"; "ccc"; "hex"; "star"; "debruijn"; "shuffle"; "nosuch" |]
+
+let sizes =
+  [| "-1"; "0"; "1"; "2"; "3"; "7"; "8"; "9"; "13"; "14"; "63"; "70"; "100000";
+     "4611686018427387903"; "99999999999999999999"; "x"; "" |]
+
+let topology_spec rng =
+  let arg =
+    if Rng.bool rng then Rng.pick rng sizes
+    else Rng.pick rng sizes ^ "x" ^ Rng.pick rng sizes
+  in
+  let spec = Rng.pick rng topology_families ^ ":" ^ arg in
+  if Rng.int rng 3 = 0 then mutate ~junk:line_junk rng spec else spec
+
+(* of_string builds what parses, so only kinds of at most 64
+   processors or refused sizes appear; mutations insert no digits and
+   cannot grow one *)
+let small_kinds =
+  [| "ring:8"; "mesh:4x4"; "torus:2x3"; "hypercube:6"; "ccc:4"; "star:4"; "bintree:4";
+     "butterfly:3"; "debruijn:6"; "shuffle:5"; "complete:8"; "hex:3x3"; "line:1";
+     "mesh:0x4"; "star:9"; "hypercube:-1"; "ring:x" |]
+
+let class_spec rng =
+  let group () =
+    Rng.pick rng [| "mem"; "io"; "m!m"; ""; "compute" |]
+    ^ (if Rng.int rng 6 = 0 then "" else "@")
+    ^ Rng.pick rng [| "0"; "0-3"; "5-2"; "99"; "-1"; "x"; "1,2"; "0-63"; "" |]
+  in
+  let spec =
+    Rng.pick rng small_kinds ^ ":classes="
+    ^ String.concat "/" (List.init (1 + Rng.int rng 3) (fun _ -> group ()))
+  in
+  if Rng.int rng 3 = 0 then mutate ~junk:line_junk rng spec else spec
+
+let synth_spec rng =
+  let spec =
+    String.concat ":"
+      ("synth"
+      :: Rng.pick rng [| "grid"; "ring"; "tree"; "rmat"; "mobius" |]
+      :: Rng.pick rng sizes
+      :: (if Rng.bool rng then [ Rng.pick rng sizes ] else []))
+  in
+  if Rng.int rng 3 = 0 then mutate ~junk:line_junk rng spec else spec
+
+let chaos_spec rng =
+  let event () =
+    Rng.pick rng sizes ^ ":"
+    ^ Rng.pick rng [| "kill-procs"; "kill-links"; "revive-procs"; "revive-links"; "boom" |]
+    ^ (if Rng.int rng 6 = 0 then "" else "=")
+    ^ Rng.pick rng [| "3"; "1,2"; "x"; ""; "-1"; "1,,2" |]
+  in
+  let spec = String.concat ";" (List.init (1 + Rng.int rng 3) (fun _ -> event ())) in
+  if Rng.int rng 3 = 0 then mutate ~junk:line_junk rng spec else spec
+
+let spec_strings =
+  QCheck.Test.make ~name:"specs never raise and name the field they refuse" ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let check what parse fields spec =
+        match parse spec with
+        | exception exn ->
+          QCheck.Test.fail_reportf "%s %S raised %s" what spec (Printexc.to_string exn)
+        | Ok _ -> true
+        | Error e ->
+          List.exists (contains e) (fields spec)
+          || QCheck.Test.fail_reportf "%s %S: error %S names no field" what spec e
+      in
+      let family spec = List.hd (String.split_on_char ':' spec) in
+      check "topology" Topology.parse (fun s -> [ family s; "topology" ]) (topology_spec rng)
+      && check "classed topology" Topology.of_string
+           (fun s -> [ family s; "topology"; "class" ])
+           (class_spec rng)
+      && check "synth" Synth.parse
+           (fun _ -> [ "family"; "task count"; "seed"; "want synth:" ])
+           (synth_spec rng)
+      && check "chaos" Cluster.parse_chaos (fun _ -> [ "chaos" ]) (chaos_spec rng))
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -326,5 +410,6 @@ let () =
           QCheck_alcotest.to_alcotest request_lines;
           QCheck_alcotest.to_alcotest flags_agree;
           QCheck_alcotest.to_alcotest trace_lines;
+          QCheck_alcotest.to_alcotest spec_strings;
         ] );
     ]

@@ -122,6 +122,44 @@ let test_parse () =
       | Ok _ -> Alcotest.failf "expected parse error for %s" s)
     [ "ring"; "ring:x"; "mesh:4"; "mesh:4x"; "nosuch:4"; "hypercube:3x3" ]
 
+(* sizes [make] would reject, and machines past the processor cap, are
+   named parse errors; the largest machines under the cap still parse *)
+let test_parse_sizes () =
+  List.iter
+    (fun (s, want) ->
+      match Topology.parse s with
+      | Ok _ -> Alcotest.failf "%s accepted" s
+      | Error e -> Alcotest.(check string) s want e)
+    [
+      ("mesh:0x4", "mesh rows must be at least 1, got 0");
+      ("torus:4x-2", "torus cols must be at least 1, got -2");
+      ("ring:0", "ring size must be at least 1, got 0");
+      ("hypercube:-1", "hypercube dimension must be at least 0, got -1");
+      ("ccc:2", "ccc dimension must be at least 3, got 2");
+      ("butterfly:0", "butterfly stages must be at least 1, got 0");
+      ("star:1", "star order must be at least 2, got 1");
+      ("star:9", "star order must be at most 7, got 9");
+      ("debruijn:0", "debruijn order must be at least 1, got 0");
+      ("ring:x", "ring size \"x\" is not an integer");
+      ("mesh:4", "mesh dimensions \"4\" are not RxC");
+      ("hypercube:70", "hypercube:70 exceeds the 8192-processor cap");
+      ("bintree:13", "bintree:13 exceeds the 8192-processor cap");
+      ("butterfly:10", "butterfly:10 exceeds the 8192-processor cap");
+      ("ccc:10", "ccc:10 exceeds the 8192-processor cap");
+      ("mesh:100x100", "mesh:100x100 exceeds the 8192-processor cap");
+      ("complete:8193", "complete:8193 exceeds the 8192-processor cap");
+      ("ring:4611686018427387903", "ring:4611686018427387903 exceeds the 8192-processor cap");
+      ("torus:4611686018427387903x4611686018427387903",
+       "torus:4611686018427387903x4611686018427387903 exceeds the 8192-processor cap");
+    ];
+  List.iter
+    (fun s ->
+      match Topology.parse s with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s refused: %s" s e)
+    [ "hypercube:13"; "bintree:12"; "butterfly:9"; "ccc:9"; "star:7"; "torus:64x64";
+      "mesh:8192x1"; "binomial:13"; "debruijn:13"; "shuffle:13"; "ring:8192" ]
+
 let test_layout_distinct () =
   List.iter
     (fun kind ->
@@ -382,6 +420,7 @@ let () =
           Alcotest.test_case "links_of_path" `Quick test_links_of_path;
           Alcotest.test_case "mesh coordinates" `Quick test_mesh_coords;
           Alcotest.test_case "parse" `Quick test_parse;
+          Alcotest.test_case "parse names bad sizes and the cap" `Quick test_parse_sizes;
           Alcotest.test_case "layout distinct" `Quick test_layout_distinct;
         ] );
       ("gray", [ Alcotest.test_case "gray codes" `Quick test_gray ]);
