@@ -546,8 +546,8 @@ let jobs_arg =
                  and topology caches (results still come out in request \
                  order, byte-identical to $(b,--jobs 1) for fixed seeds, \
                  wall-clock aside).  $(b,--jobs 1) streams request by \
-                 request with no caches.  Defaults to the number of \
-                 available cores.")
+                 request; every width keeps the same bounded caches.  \
+                 Defaults to the number of available cores.")
 
 let serve_cmd =
   let run sexp jobs = serve_batch None sexp jobs in
@@ -649,7 +649,7 @@ let daemon_cmd =
                    $(b,timeout:) without running.")
   in
   let cache_bound_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt int Service.cache_bound
          & info [ "cache-bound" ] ~docv:"N"
              ~doc:"LRU bound on each shared artifact cache (compiled \
                    programs, topologies).  $(b,0) means unbounded.")

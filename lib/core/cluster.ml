@@ -160,9 +160,10 @@ let leased_procs t =
   |> List.filter (Topology.alive topo)
 
 let free_procs t =
-  let leased = leased_procs t in
-  Topology.alive_procs t.view.Faults.topo
-  |> List.filter (fun p -> not (List.mem p leased))
+  let topo = t.view.Faults.topo in
+  let leased = Array.make (Topology.node_count topo) false in
+  Hashtbl.iter (fun _ l -> List.iter (fun p -> leased.(p) <- true) l.l_procs) t.leases;
+  List.filter (fun p -> not leased.(p)) (Topology.alive_procs topo)
 
 let lease_assignment t name =
   match Hashtbl.find_opt t.leases name with
@@ -550,12 +551,10 @@ let repack_candidate t =
     (Ok []) leases
 
 let maybe_repack t =
-  let frag = fragmentation t in
-  if
-    frag > t.cfg.cf_defrag_threshold
-    && t.queue <> []
-    && Hashtbl.length t.leases > 0
-  then begin
+  (* fragmentation is priced only when a re-pack could help someone *)
+  let waiting = t.queue <> [] && Hashtbl.length t.leases > 0 in
+  let frag = if waiting then fragmentation t else 0.0 in
+  if waiting && frag > t.cfg.cf_defrag_threshold then begin
     match repack_candidate t with
     | Error e -> logf t "repack abandoned: %s" e
     | Ok plan ->

@@ -30,7 +30,6 @@ type config = {
   d_timeout_ms : float option;
   d_cache_bound : int option;
   d_format : Service.format;
-  d_backoff : Service.backoff;
 }
 
 let default_config listen =
@@ -42,9 +41,8 @@ let default_config listen =
     d_fuel_cap = None;
     d_deadline_cap_ms = None;
     d_timeout_ms = None;
-    d_cache_bound = Some 64;
+    d_cache_bound = Some Service.cache_bound;
     d_format = Service.Tsv;
-    d_backoff = Service.default_backoff;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -336,8 +334,7 @@ let answer t job =
                 { req.Service.rq_options with Ctx.deadline_ms = Some deadline };
             }
         in
-        Service.run_request ~backoff:t.cfg.d_backoff ~breaker:t.breaker
-          ~caches:t.caches req
+        Service.run_request ~breaker:t.breaker ~caches:t.caches req
     end
   in
   Service.render t.cfg.d_format outcome

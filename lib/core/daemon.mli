@@ -65,12 +65,11 @@ type config = {
   d_timeout_ms : float option;  (** per-request wall-clock timeout *)
   d_cache_bound : int option;  (** LRU bound for each artifact cache *)
   d_format : Service.format;
-  d_backoff : Service.backoff;  (** retry pacing for the workers *)
 }
 
 val default_config : listen -> config
 (** [Pool.default_jobs ()] workers, queue bound 64, inflight cap 8,
-    no quotas or timeout, cache bound 64, TSV, default backoff. *)
+    no quotas or timeout, cache bound {!Service.cache_bound}, TSV. *)
 
 type controller
 (** Handle to a running daemon, delivered through [?ready]. *)

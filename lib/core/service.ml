@@ -14,7 +14,6 @@ module Workloads = Oregami_workloads.Workloads
 module Clock = Oregami_prelude.Clock
 module Memo = Oregami_prelude.Memo
 module Pool = Oregami_prelude.Pool
-module Rng = Oregami_prelude.Rng
 
 let ( let* ) = Result.bind
 let ( let+ ) r f = Result.map f r
@@ -326,34 +325,6 @@ let rank = function
   | Ok (_, Stats.Truncated _) -> 2
   | Ok (_, Stats.Full) -> 3
 
-(* Jittered exponential backoff between retry attempts.  A bare retry
-   loop re-fires instantly, so when many requests on a pool (or many
-   daemon clients) hit the same transient hiccup they all retry in
-   lockstep; the jitter decorrelates them.  The delay only spends
-   wall-clock — output bytes are unchanged, and the jitter draws from
-   the request's own deterministic [Rng] stream, never from global
-   state. *)
-type backoff = {
-  bo_base_ms : float;  (** delay before the first retry *)
-  bo_factor : float;  (** multiplier per further retry *)
-  bo_cap_ms : float;  (** ceiling on the un-jittered delay *)
-  bo_jitter : float;
-      (** [j] scales the delay uniformly in [[1-j, 1+j)]; [0] = none *)
-}
-
-let default_backoff =
-  { bo_base_ms = 1.0; bo_factor = 2.0; bo_cap_ms = 50.0; bo_jitter = 0.5 }
-
-(* [n] is the 1-based retry ordinal (first retry = 1) *)
-let backoff_delay_ms bo rng n =
-  let raw = bo.bo_base_ms *. (bo.bo_factor ** float_of_int (n - 1)) in
-  let capped = Float.min bo.bo_cap_ms raw in
-  let scale =
-    if bo.bo_jitter <= 0.0 then 1.0
-    else 1.0 -. bo.bo_jitter +. Rng.float rng (2.0 *. bo.bo_jitter)
-  in
-  Float.max 0.0 (capped *. scale)
-
 (* ------------------------------------------------------------------ *)
 (* shared artifact caches                                             *)
 
@@ -373,6 +344,10 @@ type caches = {
 
 let caches ?bound () =
   { c_programs = Memo.create ?bound (); c_topologies = Memo.create ?bound () }
+
+(* a stream never holds more than this many artifacts of each kind, so
+   a long serve run or daemon life cannot grow its caches without limit *)
+let cache_bound = 64
 
 let program_key req =
   String.concat " "
@@ -427,12 +402,10 @@ let refusal ~id ~program ~topology msg =
     r_error = msg;
   }
 
-let run_request ?(backoff = default_backoff) ?breaker ?caches req =
+let run_request ?breaker ?caches req =
   let breaker =
     match breaker with Some b -> b | None -> Isolate.breaker ()
   in
-  (* jitter stream decorrelated across requests of one batch *)
-  let rng = Rng.create (req.rq_options.Ctx.seed + (977 * req.rq_id)) in
   let attempts = ref 0 in
   let fuel = ref 0 in
   let result, seconds =
@@ -444,8 +417,6 @@ let run_request ?(backoff = default_backoff) ?breaker ?caches req =
           let n = ref 0 in
           let continue = ref true in
           while !continue && !n <= req.rq_retries do
-            if !n > 0 then
-              Unix.sleepf (backoff_delay_ms backoff rng !n /. 1e3);
             let options = attempt_options req.rq_options !n in
             let r, used =
               match
@@ -547,29 +518,12 @@ let iter_requests ic f =
     done
   with End_of_file -> ()
 
-(* jobs = 1: the original streaming loop, request by request, no
-   caches — bit-identical to the pre-pool service. *)
-let serve_sequential ~breaker ~emit ic =
-  iter_requests ic (function Ok req -> emit (run_request ~breaker req) | Error o -> emit o)
-
-(* jobs > 1: read the whole batch up front (the work-queue needs
-   random access), fan the requests out over a domain pool sharing the
-   artifact caches and the breaker, and emit results in request order
-   as each prefix completes. *)
-let serve_parallel ~jobs ~breaker ~emit ic =
-  let caches = caches () in
-  let work = ref [] in
-  iter_requests ic (fun w -> work := w :: !work);
-  let work = Array.of_list (List.rev !work) in
-  Pool.run ~jobs ~n:(Array.length work)
-    ~task:(fun i ->
-      match work.(i) with Error o -> o | Ok req -> run_request ~breaker ~caches req)
-    ~emit:(fun _ o -> emit o)
-
 let serve ?(format = Tsv) ?breaker ?(jobs = 1) ic oc =
   let breaker =
     match breaker with Some b -> b | None -> Isolate.breaker ()
   in
+  let caches = caches ~bound:cache_bound () in
+  let answer = function Error o -> o | Ok req -> run_request ~breaker ~caches req in
   let failed = ref false in
   let emit o =
     if not o.r_ok then failed := true;
@@ -577,6 +531,16 @@ let serve ?(format = Tsv) ?breaker ?(jobs = 1) ic oc =
     output_char oc '\n';
     flush oc
   in
-  if jobs <= 1 then serve_sequential ~breaker ~emit ic
-  else serve_parallel ~jobs ~breaker ~emit ic;
+  if jobs <= 1 then iter_requests ic (fun w -> emit (answer w))
+  else begin
+    (* the pool needs the request count up front, so a wider run reads
+       the whole batch first; results still come out in request order
+       as each prefix completes *)
+    let work = ref [] in
+    iter_requests ic (fun w -> work := w :: !work);
+    let work = Array.of_list (List.rev !work) in
+    Pool.run ~jobs ~n:(Array.length work)
+      ~task:(fun i -> answer work.(i))
+      ~emit:(fun _ o -> emit o)
+  end;
   if !failed then 1 else 0

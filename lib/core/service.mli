@@ -31,20 +31,21 @@
     so a strategy that keeps crashing across requests gets benched for
     the rest of the batch.
 
-    {2 Parallel serving}
+    {2 Serving at any width}
 
-    With [jobs > 1] the batch is processed on a pool of OCaml 5
-    domains ({!Oregami_prelude.Pool}) sharing two build-once artifact
-    {!type-caches} — compiled programs keyed by program + bindings,
-    and topologies (hop matrix pre-warmed) keyed by spec string — so a
-    batch that names the same program/topology pairs repeatedly pays
-    each setup once instead of once per request.  Results are still
+    Every request of a {!serve} run draws its setup from two
+    build-once artifact {!type-caches} — compiled programs keyed by
+    program + bindings, and topologies (hop matrix pre-warmed) keyed
+    by spec string — each holding at most {!cache_bound} entries, so a
+    stream that names the same program/topology pairs repeatedly pays
+    each setup once instead of once per request.  With [jobs > 1] the
+    batch runs on a pool of OCaml 5 domains
+    ({!Oregami_prelude.Pool}) sharing those caches; results are still
     emitted strictly in request order (the pool's ordered collector),
     and every request gets its own context, RNG, stats, and budget, so
-    for fixed seeds the output is byte-identical to a sequential run
-    except for the wall-clock column.  [jobs = 1] (the default) is the
-    original streaming loop: request by request, no caches, nothing
-    spawned. *)
+    for fixed seeds the output is byte-identical at every width except
+    for the wall-clock column.  [jobs = 1] streams request by request
+    and spawns nothing. *)
 
 type format = Tsv | Sexp
 
@@ -172,51 +173,40 @@ val fold_keys :
 val binding : string -> string -> (string * int, string) result
 (** A program parameter binding [key=INT]. *)
 
-type backoff = {
-  bo_base_ms : float;  (** delay before the first retry *)
-  bo_factor : float;  (** multiplier per further retry *)
-  bo_cap_ms : float;  (** ceiling on the un-jittered delay *)
-  bo_jitter : float;
-      (** [j] scales each delay uniformly in [[1-j, 1+j)]; [0] = none *)
-}
-(** Jittered exponential backoff between retry attempts, replacing the
-    bare instant-retry counter: concurrent requests hitting the same
-    transient failure decorrelate instead of re-firing in lockstep.
-    Backoff spends wall-clock only — result bytes are unchanged, and
-    the jitter draws from the request's own seeded RNG. *)
-
-val default_backoff : backoff
-(** 1 ms base, doubling, 50 ms cap, ±50% jitter. *)
-
 type caches = {
   c_programs : (string, (program, string) result) Oregami_prelude.Memo.t;
   c_topologies :
     (string, (Oregami_topology.Topology.t, string) result) Oregami_prelude.Memo.t;
 }
-(** Shared build-once artifact caches (see {!section-"parallel-serving"}
+(** Shared build-once artifact caches (see {!section-"serving-at-any-width"}
     above).  Cached values — including cached {e errors}, e.g. a
     missing program file — are immutable and safe to share across
-    domains. *)
+    domains.  A cached error stands until its entry is evicted: a
+    program file that is missing and then appears partway through a
+    stream keeps answering with the error meanwhile. *)
 
 val caches : ?bound:int -> unit -> caches
 (** Fresh, empty caches.  With [bound], each table keeps at most
     [bound] entries under LRU eviction ({!Oregami_prelude.Memo}) — the
-    configuration a long-lived daemon needs so sustained many-key
-    traffic cannot grow the caches without limit. *)
+    configuration a stream needs so sustained many-key traffic cannot
+    grow the caches without limit. *)
+
+val cache_bound : int
+(** The LRU bound of {!serve}'s caches and the daemon's default: 64
+    entries per table. *)
 
 val run_request :
-  ?backoff:backoff ->
   ?breaker:Oregami_mapper.Isolate.breaker ->
   ?caches:caches ->
   request ->
   outcome
-(** Runs the request's attempt schedule.  Never raises: setup crashes
-    and strategy crashes both become an error outcome (the latter via
-    the pipeline's own {!Oregami_mapper.Isolate} barrier).  Before
-    each retry the calling domain sleeps per [backoff] (default
-    {!default_backoff}).  With [caches], program compilation and
-    topology construction go through the shared tables (and their
-    results are identical to a cold setup, wall-clock aside). *)
+(** Runs the request's attempt schedule, attempts back to back.  Never
+    raises: setup crashes and strategy crashes both become an error
+    outcome (the latter via the pipeline's own
+    {!Oregami_mapper.Isolate} barrier).  With [caches], program
+    compilation and topology construction go through the shared tables
+    (and their results are identical to a cold setup, wall-clock
+    aside). *)
 
 val refusal : id:int -> program:string -> topology:string -> string -> outcome
 (** The error outcome of a request that ran nothing: a quota reject,
@@ -243,8 +233,8 @@ val serve :
     request order, continuing past failures.  Returns the batch exit
     code: 0 when every request succeeded, 1 when any failed.
 
-    [jobs] (default 1) is the domain-pool width.  [jobs = 1] streams
-    request by request with no caches, exactly as before; [jobs > 1]
-    reads the whole input to end-of-file first, then maps requests on
-    the pool with the shared artifact caches, emitting each result as
-    soon as all earlier results are out. *)
+    [jobs] (default 1) is the domain-pool width.  Every width shares
+    one set of {!caches} bounded by {!cache_bound}.  [jobs = 1] streams
+    request by request; [jobs > 1] reads the whole input to
+    end-of-file first, then maps requests on the pool, emitting each
+    result as soon as all earlier results are out. *)

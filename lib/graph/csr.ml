@@ -2,16 +2,9 @@ type t = {
   n : int;
   offsets : int array; (* length n + 1; arcs of u at offsets.(u) .. offsets.(u+1)-1 *)
   targets : int array;
-  weights : int array;
 }
 
 let unreachable = max_int
-
-let node_count t = t.n
-
-let arc_count t = Array.length t.targets
-
-let degree t u = t.offsets.(u + 1) - t.offsets.(u)
 
 let of_ugraph g =
   let n = Ugraph.node_count g in
@@ -20,22 +13,16 @@ let of_ugraph g =
     offsets.(u + 1) <- offsets.(u) + Ugraph.degree g u
   done;
   let m = offsets.(n) in
-  let targets = Array.make m 0 and weights = Array.make m 0 in
+  let targets = Array.make m 0 in
   for u = 0 to n - 1 do
     let i = ref offsets.(u) in
     List.iter
-      (fun (v, w) ->
+      (fun (v, _) ->
         targets.(!i) <- v;
-        weights.(!i) <- w;
         incr i)
       (Ugraph.neighbors g u)
   done;
-  { n; offsets; targets; weights }
-
-let neighbors_iter t u f =
-  for i = t.offsets.(u) to t.offsets.(u + 1) - 1 do
-    f t.targets.(i) t.weights.(i)
-  done
+  { n; offsets; targets }
 
 (* One BFS row: distances from [src] written into
    [dist.(base) .. dist.(base + n - 1)], with [queue] as scratch (length

@@ -2,7 +2,7 @@
 
     A {!Ugraph.t} stores adjacency as linked lists of [(node, weight
     ref)] pairs; every BFS over it allocates.  This module freezes a
-    graph into three flat [int array]s (offsets / targets / weights) so
+    graph's adjacency into two flat [int array]s (offsets / targets) so
     the traversals that drive the mapping algorithms — per-source BFS
     and the all-pairs hop matrix — run allocation-free over contiguous
     memory.  Neighbour order matches [Ugraph.neighbors]
@@ -14,17 +14,6 @@ type t
 val of_ugraph : Ugraph.t -> t
 (** Snapshot of the graph's current adjacency; later mutations of the
     source graph are not reflected. *)
-
-val node_count : t -> int
-
-val arc_count : t -> int
-(** Directed arc slots: twice the undirected edge count. *)
-
-val degree : t -> int -> int
-
-val neighbors_iter : t -> int -> (int -> int -> unit) -> unit
-(** [neighbors_iter t u f] calls [f v w] for each neighbour [v] of [u]
-    with edge weight [w], in first-insertion order. *)
 
 val unreachable : int
 (** Distance value for unreachable nodes ([max_int]), matching

@@ -73,8 +73,6 @@ let of_edges n es =
   List.iter (fun (u, v, w) -> add_edge ~w g u v) es;
   g
 
-let map_weights f g = of_edges g.n (List.map (fun (u, v, w) -> (u, v, f u v w)) (edges g))
-
 let transpose g = of_edges g.n (List.map (fun (u, v, w) -> (v, u, w)) (edges g))
 
 let copy g = of_edges g.n (edges g)

@@ -42,10 +42,6 @@ val edges : t -> (int * int * int) list
 
 val total_weight : t -> int
 
-val map_weights : (int -> int -> int -> int) -> t -> t
-(** [map_weights f g] is [g] with each edge weight [w] on [u -> v]
-    replaced by [f u v w]. *)
-
 val transpose : t -> t
 
 val copy : t -> t

@@ -20,42 +20,22 @@ let bfs_order g start =
   done;
   List.rev !acc
 
-let generic_bfs_dist n neighbors start =
-  let dist = Array.make n max_int in
+let bfs_dist g start =
+  let dist = Array.make (Ugraph.node_count g) max_int in
   dist.(start) <- 0;
   let q = Queue.create () in
   Queue.add start q;
   while not (Queue.is_empty q) do
     let u = Queue.pop q in
     List.iter
-      (fun v ->
+      (fun (v, _) ->
         if dist.(v) = max_int then begin
           dist.(v) <- dist.(u) + 1;
           Queue.add v q
         end)
-      (neighbors u)
+      (Ugraph.neighbors g u)
   done;
   dist
-
-let bfs_dist g start =
-  generic_bfs_dist (Ugraph.node_count g) (fun u -> List.map fst (Ugraph.neighbors g u)) start
-
-let bfs_dist_digraph g start =
-  generic_bfs_dist (Digraph.node_count g) (fun u -> List.map fst (Digraph.succ g u)) start
-
-let dfs_order g start =
-  let n = Ugraph.node_count g in
-  let seen = Bitset.create n in
-  let acc = ref [] in
-  let rec visit u =
-    if not (Bitset.mem seen u) then begin
-      Bitset.add seen u;
-      acc := u :: !acc;
-      List.iter (fun (v, _) -> visit v) (Ugraph.neighbors g u)
-    end
-  in
-  visit start;
-  List.rev !acc
 
 let components g =
   let n = Ugraph.node_count g in

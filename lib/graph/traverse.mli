@@ -8,12 +8,6 @@ val bfs_order : Ugraph.t -> int -> int list
 val bfs_dist : Ugraph.t -> int -> int array
 (** Hop distances from the start; unreachable nodes get [max_int]. *)
 
-val bfs_dist_digraph : Digraph.t -> int -> int array
-(** Hop distances following edge direction. *)
-
-val dfs_order : Ugraph.t -> int -> int list
-(** Preorder DFS from the start. *)
-
 val components : Ugraph.t -> int list list
 (** Connected components, each sorted increasingly, ordered by their
     smallest member. *)

@@ -398,10 +398,6 @@ let compile_source ?bindings source =
   let* program = Parser.parse source in
   compile ?bindings program
 
-let task_graph ?bindings source =
-  let* c = compile_source ?bindings source in
-  Ok c.graph
-
 let node_id c type_name values =
   match find_space c.spaces type_name with
   | None -> None

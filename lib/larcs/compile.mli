@@ -45,10 +45,6 @@ val compile_source :
   ?bindings:(string * int) list -> string -> (compiled, string) result
 (** Parse + compile. *)
 
-val task_graph :
-  ?bindings:(string * int) list -> string -> (Oregami_taskgraph.Taskgraph.t, string) result
-(** Parse + compile, returning just the task graph. *)
-
 val node_id : compiled -> string -> int list -> int option
 (** Global task id of a typed label tuple, e.g.
     [node_id c "body" [3]]. *)

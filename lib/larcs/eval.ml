@@ -96,5 +96,3 @@ let rec cond env c =
     Ok (not va)
 
 let expr_exn env e = match expr env e with Ok v -> v | Error m -> failwith m
-
-let cond_exn env c = match cond env c with Ok v -> v | Error m -> failwith m

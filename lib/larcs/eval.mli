@@ -15,7 +15,5 @@ val cond : env -> Ast.cond -> (bool, string) result
 val expr_exn : env -> Ast.expr -> int
 (** Raises [Failure] with the error message. *)
 
-val cond_exn : env -> Ast.cond -> bool
-
 val builtins : string list
 (** Recognized function names: min, max, abs, pow, log2. *)

@@ -3,9 +3,6 @@ module Gray = Oregami_topology.Gray
 
 type t = { cluster_of : int array; proc_of_cluster : int array; note : string }
 
-let families =
-  [ "ring"; "line"; "mesh"; "torus"; "hypercube"; "binomial"; "bintree"; "complete" ]
-
 let is_pow2 v = v > 0 && v land (v - 1) = 0
 
 let log2 v =

@@ -36,6 +36,3 @@ val lookup :
     the pair (caller falls back to the general algorithms).  Requires
     [n ≥ procs] compatibility: when sizes do not divide evenly the
     entry may decline. *)
-
-val families : string list
-(** Families with at least one canned entry. *)

@@ -20,9 +20,6 @@ type spec = {
 
 let none = { pins = []; forbids = []; requires = []; skip_classes = [] }
 
-let spec_is_empty s =
-  s.pins = [] && s.forbids = [] && s.requires = [] && s.skip_classes = []
-
 type t = {
   n : int;
   nprocs : int;
@@ -40,8 +37,6 @@ let errors t = t.errors
 let active t = t.active
 
 let skip_proc t p = p >= 0 && p < t.nprocs && t.skip.(p)
-
-let required_class t task = t.require_of.(task)
 
 let pinned t task = if t.pin_of.(task) >= 0 then Some t.pin_of.(task) else None
 

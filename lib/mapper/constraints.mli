@@ -25,8 +25,6 @@ type spec = {
 
 val none : spec
 
-val spec_is_empty : spec -> bool
-
 val describe : spec -> string
 (** One-line rendering for logs and stats, [""] for {!none}. *)
 
@@ -66,9 +64,6 @@ val feasible : t -> task:int -> proc:int -> bool
 val skip_proc : t -> int -> bool
 
 val pinned : t -> int -> int option
-
-val required_class : t -> int -> string
-(** [""] when the task requires no class. *)
 
 (** {2 DRC: design-rule check}
 

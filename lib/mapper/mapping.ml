@@ -28,13 +28,6 @@ let proc_of_task m task = m.proc_of_cluster.(m.cluster_of.(task))
 
 let assignment m = Array.init m.tg.Taskgraph.n (proc_of_task m)
 
-let cluster_members m =
-  let members = Array.make (cluster_count m) [] in
-  for task = m.tg.Taskgraph.n - 1 downto 0 do
-    members.(m.cluster_of.(task)) <- task :: members.(m.cluster_of.(task))
-  done;
-  members
-
 let tasks_on_proc m =
   let procs = Topology.node_count m.topo in
   let tasks = Array.make procs [] in

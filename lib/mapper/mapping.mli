@@ -29,9 +29,6 @@ val proc_of_task : t -> int -> int
 val assignment : t -> int array
 (** task → processor array. *)
 
-val cluster_members : t -> int list array
-(** Tasks of each cluster, indexed by cluster id. *)
-
 val tasks_on_proc : t -> int list array
 
 val validate : ?constraints:Constraints.t -> t -> (unit, string) result

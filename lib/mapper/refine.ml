@@ -2,8 +2,6 @@ module Ugraph = Oregami_graph.Ugraph
 module Topology = Oregami_topology.Topology
 module Distcache = Oregami_topology.Distcache
 
-let objective = Nn_embed.weighted_hops
-
 let improve_embedding ?(max_rounds = 10) ?budget ?swaps ?allowed cg topo
     proc_of_cluster =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in

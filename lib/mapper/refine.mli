@@ -27,7 +27,3 @@ val improve_embedding :
     [c] may occupy: moves and swaps that would violate it are skipped,
     so a cluster pinned via a single allowed processor is immobile and
     the result stays {!Constraints}-feasible if the input was. *)
-
-val objective :
-  Oregami_graph.Ugraph.t -> Oregami_topology.Topology.t -> int array -> int
-(** Alias for {!Nn_embed.weighted_hops}. *)

@@ -123,7 +123,6 @@ let rejections t =
 let matching_rounds t = t.matching_rounds
 let refine_swaps t = t.refine_swaps
 let hop_builds t = t.hop_builds
-let total_seconds t = t.seconds
 
 let counters t =
   let tally f = List.length (List.filter f (attempts t)) in

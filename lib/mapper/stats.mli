@@ -111,7 +111,6 @@ val rejections : t -> (string * string) list
 val matching_rounds : t -> int
 val refine_swaps : t -> int
 val hop_builds : t -> int
-val total_seconds : t -> float
 
 val degradation : t -> degradation
 (** [Full] unless the pipeline set otherwise. *)

@@ -282,10 +282,6 @@ let run_with_fault ?(params = default_params) ?options (m : Mapping.t) event =
       rv_repair = rep;
     }
 
-let phase_duration ?(params = default_params) (m : Mapping.t) name =
-  let slot = { Phase_expr.comms = [ name ]; execs = [] } in
-  fst (simulate_messages params m.Mapping.topo (slot_messages m slot))
-
 let spans ?(params = default_params) (m : Mapping.t) phase =
   let slot = { Phase_expr.comms = [ phase ]; execs = [] } in
   let messages = List.map (fun (r, v) -> (r, v, 0)) (slot_messages m slot) in

@@ -43,10 +43,6 @@ type report = {
 
 val run : ?params:params -> Oregami_mapper.Mapping.t -> report
 
-val phase_duration : ?params:params -> Oregami_mapper.Mapping.t -> string -> int
-(** Simulated duration of a single occurrence of one communication
-    phase. *)
-
 type span = {
   sp_channel : int;  (** directed channel id: [2·link + direction] *)
   sp_start : int;

@@ -33,8 +33,6 @@ let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
-
 let copy t = { words = Array.copy t.words; n = t.n }
 
 let full n =

@@ -20,8 +20,6 @@ val cardinal : t -> int
 
 val is_empty : t -> bool
 
-val clear : t -> unit
-
 val copy : t -> t
 
 val full : int -> t

@@ -4,8 +4,6 @@
 
 let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-let elapsed_s t0 = now () -. t0
-
 let elapsed_ms t0 = (now () -. t0) *. 1e3
 
 let time f =

@@ -9,9 +9,6 @@ val now : unit -> float
 (** Monotonic time in seconds since an arbitrary epoch.  Only
     differences between two [now] readings are meaningful. *)
 
-val elapsed_s : float -> float
-(** [elapsed_s t0] is the seconds elapsed since the reading [t0]. *)
-
 val elapsed_ms : float -> float
 (** [elapsed_ms t0] is the milliseconds elapsed since the reading [t0]. *)
 

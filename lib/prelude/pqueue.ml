@@ -70,8 +70,6 @@ let pop q =
 
 let peek q = if q.size = 0 then None else Some (q.heap.(0).prio, q.heap.(0).value)
 
-let clear q = q.size <- 0
-
 let of_list xs =
   let q = create () in
   List.iter (fun (prio, v) -> push q prio v) xs;

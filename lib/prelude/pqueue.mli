@@ -25,8 +25,6 @@ val pop : 'a t -> (int * 'a) option
 val peek : 'a t -> (int * 'a) option
 (** Like {!pop} without removal. *)
 
-val clear : 'a t -> unit
-
 val of_list : (int * 'a) list -> 'a t
 
 val to_sorted_list : 'a t -> (int * 'a) list

@@ -501,6 +501,8 @@ let bounded_count kind =
   | Cube_connected_cycles d -> mul (pow2 d) (min over d)
   | Star_graph n -> List.fold_left ( * ) 1 (List.init n (fun i -> i + 1))
 
+let max_links = 65_536
+
 let parse s =
   let ( let* ) = Result.bind in
   match String.split_on_char ':' s with
@@ -549,7 +551,14 @@ let parse s =
     in
     if bounded_count kind > max_procs then
       Error (Printf.sprintf "%s exceeds the %d-processor cap" s max_procs)
-    else Ok kind
+    else
+      (* only the complete graph's links grow as N^2: every other
+         family stays under [max_links] at [max_procs] (the densest,
+         hypercube:13, has 53 248 links) *)
+      match kind with
+      | Complete n when n * (n - 1) / 2 > max_links ->
+        Error (Printf.sprintf "%s exceeds the %d-link cap" s max_links)
+      | _ -> Ok kind
   end
   | _ -> Error (Printf.sprintf "bad topology %S (want family:args)" s)
 

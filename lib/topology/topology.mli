@@ -127,6 +127,12 @@ val max_procs : int
     every machine the experiments build (the largest is [torus:64x64])
     and [star:7]; the hop matrix of a machine at the cap takes 512 MB. *)
 
+val max_links : int
+(** The most links a parsed topology may have: 65 536.  Only the
+    complete graph comes near it ([complete:362] has 65 341 links);
+    its links grow as N², so [complete:8192] would need 33.5 million
+    links and exhaust memory while building. *)
+
 val parse : string -> (kind, string) result
 (** Parses CLI notation: ["ring:8"], ["mesh:4x4"], ["torus:4x8"],
     ["hypercube:3"], ["line:5"], ["complete:6"], ["bintree:3"],
@@ -134,10 +140,10 @@ val parse : string -> (kind, string) result
     ["star:4"], ["debruijn:4"], ["shuffle:4"].
 
     Every size {!make} would reject, and every spec with more than
-    {!max_procs} processors, is an [Error] that starts with the family
-    and names the offending field (e.g. ["mesh rows must be at least 1,
-    got 0"]); the count is computed without overflow, so
-    ["hypercube:70"] is refused too.  Builds nothing. *)
+    {!max_procs} processors or {!max_links} links, is an [Error] that
+    starts with the family and names the offending field (e.g. ["mesh
+    rows must be at least 1, got 0"]); the count is computed without
+    overflow, so ["hypercube:70"] is refused too.  Builds nothing. *)
 
 val of_string : string -> (t, string) result
 (** Parses a full topology spec, i.e. {!parse} notation optionally

@@ -300,19 +300,16 @@ let test_service_program_size_cap () =
         Alcotest.(check bool) "names the cap" true (contains e "too large")
       | Ok _ -> Alcotest.fail "oversized program should be refused")
 
-(* backoff spends wall-clock only: a zero-delay schedule and the
-   default must produce identical outcomes *)
-let test_service_backoff_pure_delay () =
-  let instant =
-    { Service.default_backoff with Service.bo_base_ms = 0.0; bo_cap_ms = 0.0 }
-  in
+(* retries run back to back: a request that trips its deadline on
+   every attempt runs the whole ladder and answers the same way each
+   time, wall-clock aside *)
+let test_service_retries_back_to_back () =
   let req = parse_ok "nbody ring:8 deadline-ms=0 retries=2" in
-  let a = Service.run_request ~backoff:instant req in
+  let a = Service.run_request req in
   let b = Service.run_request req in
   let mask r = { r with Service.r_elapsed_ms = 0.0 } in
-  Alcotest.(check bool) "same outcome, wall-clock aside" true
-    (mask a = mask b);
-  Alcotest.(check bool) "retry schedule ran" true (a.Service.r_attempts >= 2)
+  Alcotest.(check int) "all three attempts ran" 3 a.Service.r_attempts;
+  Alcotest.(check bool) "same outcome, wall-clock aside" true (mask a = mask b)
 
 let test_service_poisoned_request () =
   let r = Service.run_request (parse_ok "./no-such-file.larcs ring:4") in
@@ -434,8 +431,8 @@ let () =
             test_service_duplicate_key_rejected;
           Alcotest.test_case "program size cap" `Quick
             test_service_program_size_cap;
-          Alcotest.test_case "backoff is pure delay" `Quick
-            test_service_backoff_pure_delay;
+          Alcotest.test_case "retries run back to back" `Quick
+            test_service_retries_back_to_back;
           Alcotest.test_case "poisoned request" `Quick
             test_service_poisoned_request;
           Alcotest.test_case "budgeted request" `Quick

@@ -223,6 +223,28 @@ let test_quota_rejects () =
         (contains (hear c) "\tok\t");
       hangup c)
 
+let test_queued_timeout () =
+  with_daemon
+    ~tweak:(fun c -> { c with Daemon.d_jobs = 1; d_timeout_ms = Some 50.0 })
+    (fun path ->
+      let c = dial path in
+      (* the lone worker sleeps 200 ms, so the mapping request behind it
+         waits out its 50 ms timeout in the queue *)
+      say c "sleep 200";
+      say c "voting hypercube:2";
+      let sleep = hear c and late = hear c in
+      Alcotest.(check bool) "sleep answered ok" true (contains sleep "\tok\t");
+      (match fields late with
+      | [ _; "voting"; _; status; _; _; _; _; attempts; _; error ] ->
+        Alcotest.(check string) "error status" "error" status;
+        Alcotest.(check bool)
+          (Printf.sprintf "timeout named: %s" error)
+          true
+          (String.starts_with ~prefix:"timeout: queued " error);
+        Alcotest.(check string) "ran no attempt" "0" attempts
+      | _ -> Alcotest.failf "unexpected answer %S" late);
+      hangup c)
+
 let test_malformed_line_answered () =
   with_daemon (fun path ->
       let c = dial path in
@@ -450,6 +472,7 @@ let () =
           Alcotest.test_case "client disconnect mid-request" `Quick
             test_client_disconnect_mid_request;
           Alcotest.test_case "quota rejects" `Quick test_quota_rejects;
+          Alcotest.test_case "queued timeout" `Quick test_queued_timeout;
           Alcotest.test_case "malformed lines answered" `Quick
             test_malformed_line_answered;
           Alcotest.test_case "stats verb" `Quick test_stats_verb;

@@ -122,8 +122,9 @@ let test_parse () =
       | Ok _ -> Alcotest.failf "expected parse error for %s" s)
     [ "ring"; "ring:x"; "mesh:4"; "mesh:4x"; "nosuch:4"; "hypercube:3x3" ]
 
-(* sizes [make] would reject, and machines past the processor cap, are
-   named parse errors; the largest machines under the cap still parse *)
+(* sizes [make] would reject, and machines past the processor or link
+   cap, are named parse errors; the largest machines under the caps
+   still parse *)
 let test_parse_sizes () =
   List.iter
     (fun (s, want) ->
@@ -148,6 +149,8 @@ let test_parse_sizes () =
       ("ccc:10", "ccc:10 exceeds the 8192-processor cap");
       ("mesh:100x100", "mesh:100x100 exceeds the 8192-processor cap");
       ("complete:8193", "complete:8193 exceeds the 8192-processor cap");
+      ("complete:363", "complete:363 exceeds the 65536-link cap");
+      ("complete:8192", "complete:8192 exceeds the 65536-link cap");
       ("ring:4611686018427387903", "ring:4611686018427387903 exceeds the 8192-processor cap");
       ("torus:4611686018427387903x4611686018427387903",
        "torus:4611686018427387903x4611686018427387903 exceeds the 8192-processor cap");
@@ -158,7 +161,8 @@ let test_parse_sizes () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "%s refused: %s" s e)
     [ "hypercube:13"; "bintree:12"; "butterfly:9"; "ccc:9"; "star:7"; "torus:64x64";
-      "mesh:8192x1"; "binomial:13"; "debruijn:13"; "shuffle:13"; "ring:8192" ]
+      "mesh:8192x1"; "binomial:13"; "debruijn:13"; "shuffle:13"; "ring:8192";
+      "complete:362" ]
 
 let test_layout_distinct () =
   List.iter
