@@ -17,9 +17,10 @@
       did not state a budget and reject explicit over-asks by name
       ([quota: ...]).
     - {b Timeouts.}  A per-request wall-clock timeout converts into
-      the mapper's own {!Oregami_mapper.Budget} deadline: time spent
-      queued shrinks the compute budget, and a request whose timeout
-      lapsed in the queue is answered [timeout: ...] without running.
+      the request's one deadline, shared by its attempts (see
+      {!Service.run_request}): time spent queued shrinks it, and a
+      request whose timeout lapsed in the queue is answered
+      [timeout: ...] without running.
     - {b Bounded caches.}  The shared artifact caches run in
       {!Oregami_prelude.Memo} LRU mode, so sustained many-key traffic
       cannot grow the daemon without limit.

@@ -303,19 +303,30 @@ let compete_names () =
       if s.Strategy.tier = Strategy.Compete then Some s.Strategy.name else None)
     (Strategy.registry ())
 
-(* reduced scope per retry: first drop refinement, then drop the whole
-   competing tier so only the cheap dispatch paths (and the baseline
-   fallback) remain *)
-let attempt_options base = function
-  | 0 -> base
-  | 1 -> { base with Ctx.refine = false }
-  | _ ->
-    {
-      base with
-      Ctx.refine = false;
-      Ctx.only = [];
-      Ctx.exclude = List.sort_uniq compare (base.Ctx.exclude @ compete_names ());
-    }
+(* Options for attempt [n] of a request whose attempts began at
+   [started].  Scope shrinks per retry: first drop refinement, then
+   drop the whole competing tier so only the cheap dispatch paths (and
+   the baseline fallback) remain.  The request has one deadline:
+   attempt 0 gets all of it, a retry what is left, and [None] once it
+   has passed, so no retry starts after it. *)
+let attempt_options ~started base n =
+  let options =
+    match n with
+    | 0 -> base
+    | 1 -> { base with Ctx.refine = false }
+    | _ ->
+      {
+        base with
+        Ctx.refine = false;
+        Ctx.only = [];
+        Ctx.exclude = List.sort_uniq compare (base.Ctx.exclude @ compete_names ());
+      }
+  in
+  match base.Ctx.deadline_ms with
+  | Some d when n > 0 ->
+    let left = d -. Clock.elapsed_ms started in
+    if left > 0.0 then Some { options with Ctx.deadline_ms = Some left } else None
+  | Some _ | None -> Some options
 
 (* preference across attempts; retry only while something better is
    still reachable *)
@@ -416,25 +427,28 @@ let run_request ?breaker ?caches req =
           let best = ref (Error "not attempted") in
           let n = ref 0 in
           let continue = ref true in
+          let started = Clock.now () in
           while !continue && !n <= req.rq_retries do
-            let options = attempt_options req.rq_options !n in
-            let r, used =
-              match
-                Isolate.protect (fun () ->
-                    let ctx = context ~options ~breaker program topo in
-                    let r = Driver.run ctx in
-                    (r, Budget.fuel_used ctx.Ctx.budget))
-              with
-              | Error exn -> (Error ("internal crash: " ^ exn), 0)
-              | Ok (r, used) -> (r, used)
-            in
-            incr n;
-            fuel := !fuel + used;
-            (* first attempt always lands, so a failing request reports
-               its real error instead of the placeholder *)
-            if !n = 1 || rank r > rank !best then best := r;
-            (* 3 = Ok Full: nothing better is reachable *)
-            if rank !best >= 3 then continue := false
+            match attempt_options ~started req.rq_options !n with
+            | None -> continue := false
+            | Some options ->
+              let r, used =
+                match
+                  Isolate.protect (fun () ->
+                      let ctx = context ~options ~breaker program topo in
+                      let r = Driver.run ctx in
+                      (r, Budget.fuel_used ctx.Ctx.budget))
+                with
+                | Error exn -> (Error ("internal crash: " ^ exn), 0)
+                | Ok (r, used) -> (r, used)
+              in
+              incr n;
+              fuel := !fuel + used;
+              (* first attempt always lands, so a failing request reports
+                 its real error instead of the placeholder *)
+              if !n = 1 || rank r > rank !best then best := r;
+              (* 3 = Ok Full: nothing better is reachable *)
+              if rank !best >= 3 then continue := false
           done;
           attempts := !n;
           !best)

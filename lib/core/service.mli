@@ -24,8 +24,11 @@
     (not [Full]) and retries remain, the request is retried with
     reduced scope: attempt 1 drops refinement, attempt 2 additionally
     drops the competing tier (dispatch strategies + baseline fallback
-    only).  Each attempt gets a fresh budget; the best result across
-    attempts is reported ([Full] > [Truncated] > [Fallback] > error).
+    only).  Each attempt gets a fresh fuel budget, but [deadline-ms] is
+    one deadline for the whole request: a retry gets the time left of
+    it, and none starts once it has passed (the first attempt always
+    runs).  The best result across attempts is reported ([Full] >
+    [Truncated] > [Fallback] > error).
 
     All requests of one {!serve} run share a single {!Isolate.breaker},
     so a strategy that keeps crashing across requests gets benched for

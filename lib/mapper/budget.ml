@@ -67,3 +67,5 @@ let note b site =
 let truncations b = List.rev b.noted_rev
 
 let fuel_used b = b.fuel_used
+
+let fuel_left b = max 0 (b.fuel_cap - b.fuel_used)

@@ -45,5 +45,11 @@ val truncations : t -> string list
 val fuel_used : t -> int
 (** Total fuel charged so far, metered even on unlimited budgets. *)
 
+val fuel_left : t -> int
+(** Fuel that {!poll} can still charge before the cap trips: [0] once
+    the cap is spent, about [max_int] on a budget without one.  A loop
+    that knows its whole cost up front can charge it in one poll when
+    it fits, and poll piece by piece only when it does not. *)
+
 val limited : t -> bool
 (** Whether the budget carries any limit at all. *)

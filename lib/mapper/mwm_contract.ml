@@ -16,33 +16,38 @@ let default_b n procs =
 
 (* Dense renumbering of union-find clusters by smallest member. *)
 let dense_clusters uf n =
-  let reps = Array.init n (Union_find.find uf) in
-  let order = Hashtbl.create 16 in
+  let id = Array.make n (-1) in
   let next = ref 0 in
-  Array.iter
-    (fun r ->
-      if not (Hashtbl.mem order r) then begin
-        Hashtbl.add order r !next;
-        incr next
-      end)
-    reps;
-  let cluster_of = Array.map (Hashtbl.find order) reps in
+  let cluster_of =
+    Array.init n (fun v ->
+        let r = Union_find.find uf v in
+        if id.(r) < 0 then begin
+          id.(r) <- !next;
+          incr next
+        end;
+        id.(r))
+  in
   let clusters = Array.make !next [] in
   for v = n - 1 downto 0 do
     clusters.(cluster_of.(v)) <- v :: clusters.(cluster_of.(v))
   done;
   (cluster_of, clusters)
 
-(* weight between two clusters under the current task partition *)
-let inter_weight g members_a members_b =
-  let in_b = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace in_b v ()) members_b;
-  List.fold_left
-    (fun acc v ->
-      List.fold_left
-        (fun acc (u, w) -> if Hashtbl.mem in_b u then acc + w else acc)
-        acc (Ugraph.neighbors g v))
-    0 members_a
+(* the graph's adjacency as offsets, neighbours and weights *)
+let adjacency g n =
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v) + Ugraph.degree g v
+  done;
+  let nbr = Array.make off.(n) 0 and wt = Array.make off.(n) 0 in
+  for v = 0 to n - 1 do
+    List.iteri
+      (fun i (u, w) ->
+        nbr.(off.(v) + i) <- u;
+        wt.(off.(v) + i) <- w)
+      (Ugraph.neighbors g v)
+  done;
+  (off, nbr, wt)
 
 let contract ?b ?budget g ~procs =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
@@ -63,19 +68,39 @@ let contract ?b ?budget g ~procs =
       Error
         (Printf.sprintf "infeasible: %d tasks > %d processors x capacity %d" n procs b)
     else begin
+      let off, nbr, wt = adjacency g n in
       let uf = Union_find.create n in
       let half = max 1 (b / 2) in
       let greedy_merges = ref 0 in
       (* greedy phase: heaviest edges first, clusters capped at b/2,
          stop once at most 2*procs clusters remain (paper Fig 5) *)
       if n > 2 * procs then begin
-        let edges =
-          List.sort
-            (fun (u1, v1, w1) (u2, v2, w2) -> compare (-w1, u1, v1) (-w2, u2, v2))
-            (Ugraph.edges g)
-        in
-        List.iter
-          (fun (u, v, _) ->
+        let m = off.(n) / 2 in
+        let eu = Array.make m 0 and ev = Array.make m 0 and ew = Array.make m 0 in
+        let e = ref 0 in
+        for u = 0 to n - 1 do
+          for i = off.(u) to off.(u + 1) - 1 do
+            if nbr.(i) > u then begin
+              eu.(!e) <- u;
+              ev.(!e) <- nbr.(i);
+              ew.(!e) <- wt.(i);
+              incr e
+            end
+          done
+        done;
+        (* by weight, heaviest first, ties by (u, v) *)
+        let by_weight = Array.init m Fun.id in
+        Array.sort
+          (fun i j ->
+            let c = Int.compare ew.(j) ew.(i) in
+            if c <> 0 then c
+            else
+              let c = Int.compare eu.(i) eu.(j) in
+              if c <> 0 then c else Int.compare ev.(i) ev.(j))
+          by_weight;
+        Array.iter
+          (fun e ->
+            let u = eu.(e) and v = ev.(e) in
             if
               check 1
               && Union_find.count_sets uf > 2 * procs
@@ -85,7 +110,7 @@ let contract ?b ?budget g ~procs =
               ignore (Union_find.union uf u v);
               incr greedy_merges
             end)
-          edges
+          by_weight
       end;
       (* pairing phase over explicit clusters: repeat maximum-weight
          matchings restricted to capacity-respecting pairs; when no
@@ -93,110 +118,235 @@ let contract ?b ?budget g ~procs =
          resort dissolve the smallest cluster into the others' spare
          capacity.  The canonical case (greedy reached <= 2P clusters
          of <= B/2 tasks) finishes in the single matching round the
-         paper describes. *)
+         paper describes.
+
+         Clusters carry a label (their index after the greedy phase)
+         and sit at a position in the scan order; pairs are scanned as
+         (a, c), a < c, by position.  A label keeps its members,
+         sorted, and its size; [lab] maps a task to its cluster's
+         label and [pos] a label to its position. *)
       let matched_pairs = ref 0 in
-      let _, initial = dense_clusters uf n in
-      let clusters = ref (Array.to_list initial) in
+      let lab, mem = dense_clusters uf n in
+      let k0 = Array.length mem in
+      let size = Array.map List.length mem in
+      let order = Array.init k0 Fun.id in
+      let pos = Array.init k0 Fun.id in
+      let k = ref k0 in
+      let sz a = size.(order.(a)) in
+      (* the new scan order: the labels [first], then the clusters at
+         the positions that [keep] holds, in order *)
+      let reorder first keep =
+        let kept =
+          List.filter_map
+            (fun a -> if keep a then Some order.(a) else None)
+            (List.init !k Fun.id)
+        in
+        let labels = first @ kept in
+        List.iteri
+          (fun a l ->
+            order.(a) <- l;
+            pos.(l) <- a)
+          labels;
+        k := List.length labels
+      in
+      let current () = List.init !k (fun a -> mem.(order.(a))) in
+      (* [lc]'s members join [la] *)
+      let join la lc =
+        List.iter (fun v -> lab.(v) <- la) mem.(lc);
+        mem.(la) <- List.merge Int.compare mem.(la) mem.(lc);
+        size.(la) <- size.(la) + size.(lc);
+        mem.(lc) <- []
+      in
+      (* one weight row: [gather a] sums, per later position c, the
+         weight between the clusters at a and c into [acc] under a
+         fresh stamp, in O(the degree of a's members), and returns the
+         positions it touched; [weight c] reads the row *)
+      let acc = Array.make k0 0 and seen = Array.make k0 0 and stamp = ref 0 in
+      let add c w =
+        if seen.(c) <> !stamp then begin
+          seen.(c) <- !stamp;
+          acc.(c) <- w;
+          true
+        end
+        else begin
+          acc.(c) <- acc.(c) + w;
+          false
+        end
+      in
+      let weight c = if seen.(c) = !stamp then acc.(c) else 0 in
+      let gather a =
+        incr stamp;
+        let touched = ref [] in
+        List.iter
+          (fun v ->
+            for i = off.(v) to off.(v + 1) - 1 do
+              let c = pos.(lab.(nbr.(i))) in
+              if c > a && add c wt.(i) then touched := c :: !touched
+            done)
+          mem.(order.(a));
+        !touched
+      in
+      (* The fuel of one scan is the sum of s_a + s_c over its fitting
+         pairs (s_a + s_c <= b), counted from a histogram of sizes:
+         a cluster of size s fits beside every other cluster of size
+         <= b - s. *)
+      let hist = Array.make (b + 1) 0 and at_most = Array.make (b + 1) 0 in
+      let scan_cost () =
+        Array.fill hist 0 (b + 1) 0;
+        for a = 0 to !k - 1 do
+          hist.(sz a) <- hist.(sz a) + 1
+        done;
+        for s = 1 to b do
+          at_most.(s) <- at_most.(s - 1) + hist.(s)
+        done;
+        let cost = ref 0 and ends = ref 0 in
+        for s = 1 to b - 1 do
+          if hist.(s) > 0 then begin
+            let partners = at_most.(b - s) - if 2 * s <= b then 1 else 0 in
+            cost := !cost + (hist.(s) * s * partners);
+            ends := !ends + (hist.(s) * partners)
+          end
+        done;
+        (!cost, !ends / 2)
+      in
+      (* Charge one scan over the fitting pairs and return the rank
+         a * k + c of the first pair the budget refused, [max_int] when
+         it paid for all.  A scan with no fitting pair polls nothing; a
+         scan the fuel cap can afford is charged in one poll (if the
+         deadline trips there, the scan's work still stands); only the
+         scan where the cap trips polls pair by pair. *)
+      let charge_scan () =
+        let cost, pairs = scan_cost () in
+        if pairs = 0 then max_int
+        else if (not (Budget.exhausted budget)) && cost <= Budget.fuel_left budget then begin
+          ignore (check cost);
+          max_int
+        end
+        else begin
+          let k = !k in
+          let exception Refused of int in
+          try
+            for a = 0 to k - 1 do
+              for c = a + 1 to k - 1 do
+                if sz a + sz c <= b && not (check (sz a + sz c)) then
+                  raise (Refused ((a * k) + c))
+              done
+            done;
+            max_int
+          with Refused rank -> rank
+        end
+      in
+      (* Once a pass paid for in full pairs nothing, no fitting pair
+         weighs more than 0, and none ever will: if a ∪ c fits beside
+         d, so did a and c, each at weight <= 0; and a dissolve runs
+         only when no pair fits, and only grows clusters. *)
+      let zero_tail = ref false in
       let exception Stuck in
       let merge_pass () =
-        let arr = Array.of_list !clusters in
-        let k = Array.length arr in
-        let size c = List.length arr.(c) in
-        let edges = ref [] in
-        let dead = ref false in
-        for a = 0 to k - 1 do
-          for c = a + 1 to k - 1 do
-            if (not !dead) && size a + size c <= b then begin
-              if not (check (size a + size c)) then dead := true
-              else begin
-                let w = inter_weight g arr.(a) arr.(c) in
-                if w > 0 then edges := (a, c, w) :: !edges
+        let stop = charge_scan () in
+        if !zero_tail then false
+        else begin
+          let k = !k in
+          let edges = ref [] in
+          for a = 0 to k - 1 do
+            List.iter
+              (fun c ->
+                let w = weight c in
+                if w > 0 && sz a + sz c <= b && (a * k) + c < stop then
+                  edges := (a, c, w) :: !edges)
+              (List.sort Int.compare (gather a))
+          done;
+          if !edges = [] then begin
+            if stop = max_int then zero_tail := true;
+            false
+          end
+          else begin
+            let mate = Blossom.max_weight_matching ~n:k !edges in
+            (* merged pairs first, by their lower position, then the
+               unmatched clusters in order *)
+            let merged = ref [] in
+            for c = k - 1 downto 0 do
+              if mate.(c) > c then begin
+                join order.(c) order.(mate.(c));
+                merged := order.(c) :: !merged;
+                incr matched_pairs
               end
-            end
-          done
-        done;
-        let mate =
-          if b >= 2 then Blossom.max_weight_matching ~n:k !edges else Array.make k (-1)
-        in
-        let merged = Array.make k false in
-        let out = ref [] in
-        let progressed = ref false in
-        Array.iteri
-          (fun c m ->
-            if m > c then begin
-              out := List.merge compare arr.(c) arr.(m) :: !out;
-              merged.(c) <- true;
-              merged.(m) <- true;
-              incr matched_pairs;
-              progressed := true
-            end)
-          mate;
-        Array.iteri (fun c members -> if not merged.(c) then out := members :: !out) arr;
-        clusters := List.rev !out;
-        !progressed
+            done;
+            reorder !merged (fun c -> mate.(c) < 0);
+            !merged <> []
+          end
+        end
       in
+      (* the first fitting pair of maximal weight in scan order, merged
+         to the front *)
       let zero_merge () =
-        let arr = Array.of_list !clusters in
-        let k = Array.length arr in
-        let size c = List.length arr.(c) in
-        let best = ref None in
-        let dead = ref false in
-        for a = 0 to k - 1 do
-          for c = a + 1 to k - 1 do
-            if (not !dead) && size a + size c <= b then begin
-              if not (check (size a + size c)) then dead := true
-              else begin
-                let w = inter_weight g arr.(a) arr.(c) in
-                match !best with
-                | Some (bw, _, _) when bw >= w -> ()
-                | Some _ | None -> best := Some (w, a, c)
-              end
-            end
-          done
+        let stop = charge_scan () in
+        let k = !k in
+        (* smallest size at or after each position *)
+        let least = Array.make (k + 1) max_int in
+        for a = k - 1 downto 0 do
+          least.(a) <- min (sz a) least.(a + 1)
         done;
+        let best = ref None in
+        (try
+           for a = 0 to k - 2 do
+             if least.(a + 1) <= b - sz a then begin
+               ignore (gather a);
+               for c = a + 1 to k - 1 do
+                 if sz a + sz c <= b then begin
+                   if (a * k) + c >= stop then raise Exit;
+                   let w = weight c in
+                   (match !best with
+                   | Some (bw, _, _) when bw >= w -> ()
+                   | Some _ | None -> best := Some (w, a, c));
+                   if !zero_tail && w = 0 then raise Exit
+                 end
+               done
+             end
+           done
+         with Exit -> ());
         match !best with
         | None -> false
         | Some (_, a, c) ->
-          let out = ref [ List.merge compare arr.(a) arr.(c) ] in
-          Array.iteri (fun i members -> if i <> a && i <> c then out := members :: !out) arr;
-          clusters := List.rev !out;
+          join order.(a) order.(c);
+          reorder [ order.(a) ] (fun i -> i <> a && i <> c);
           true
       in
       let dissolve_smallest () =
-        let arr = Array.of_list !clusters in
-        let k = Array.length arr in
+        let k = !k in
         let smallest = ref 0 in
         for c = 1 to k - 1 do
-          if List.length arr.(c) < List.length arr.(!smallest) then smallest := c
+          if sz c < sz !smallest then smallest := c
         done;
-        let rest =
-          Array.to_list (Array.mapi (fun i m -> (i, ref m)) arr)
-          |> List.filter (fun (i, _) -> i <> !smallest)
-          |> List.map snd
-        in
-        let spare () =
-          List.fold_left (fun acc m -> acc + (b - List.length !m)) 0 rest
-        in
-        if spare () < List.length arr.(!smallest) then false
+        let s = !smallest in
+        let spare = ref 0 in
+        for c = 0 to k - 1 do
+          if c <> s then spare := !spare + (b - sz c)
+        done;
+        if !spare < sz s then false
         else begin
           List.iter
             (fun task ->
               (* heaviest-affinity cluster with room *)
-              let best = ref None in
-              List.iter
-                (fun m ->
-                  if List.length !m < b then begin
-                    let w = inter_weight g [ task ] !m in
-                    match !best with
-                    | Some (bw, _) when bw >= w -> ()
-                    | Some _ | None -> best := Some (w, m)
-                  end)
-                rest;
-              match !best with
-              | Some (_, m) -> m := List.merge compare [ task ] !m
-              | None -> ())
-            arr.(!smallest);
-          clusters := List.map ( ! ) rest;
+              incr stamp;
+              for i = off.(task) to off.(task + 1) - 1 do
+                ignore (add pos.(lab.(nbr.(i))) wt.(i))
+              done;
+              let best = ref (-1) and best_w = ref 0 in
+              for c = 0 to k - 1 do
+                if c <> s && sz c < b && (!best < 0 || weight c > !best_w) then begin
+                  best := c;
+                  best_w := weight c
+                end
+              done;
+              if !best >= 0 then begin
+                let l = order.(!best) in
+                lab.(task) <- l;
+                mem.(l) <- List.merge Int.compare [ task ] mem.(l);
+                size.(l) <- size.(l) + 1
+              end)
+            mem.(order.(s));
+          reorder [] (fun c -> c <> s);
           true
         end
       in
@@ -244,27 +394,18 @@ let contract ?b ?budget g ~procs =
                | [] -> None
                | members -> Some (List.sort compare members))
       in
-      let result =
-        try
-          while List.length !clusters > procs do
-            if not (check (List.length !clusters)) then
-              clusters := force_pack !clusters
-            else if not (merge_pass ()) then
-              if not (zero_merge ()) then
-                if not (dissolve_smallest ()) then raise Stuck
-          done;
-          Ok ()
-        with Stuck ->
-          Error
-            (Printf.sprintf "could not reduce to %d clusters under capacity %d" procs b)
+      let rec reduce () =
+        if !k <= procs then current ()
+        else if not (check !k) then force_pack (current ())
+        else if merge_pass () || zero_merge () || dissolve_smallest () then reduce ()
+        else raise Stuck
       in
-      match result with
-      | Error e -> Error e
-      | Ok () ->
+      match reduce () with
+      | exception Stuck ->
+        Error (Printf.sprintf "could not reduce to %d clusters under capacity %d" procs b)
+      | clusters ->
         (* renumber by smallest member *)
-        let sorted =
-          List.sort (fun a c -> compare (List.hd a) (List.hd c)) !clusters
-        in
+        let sorted = List.sort (fun a c -> compare (List.hd a) (List.hd c)) clusters in
         let clusters = Array.of_list sorted in
         let cluster_of = Array.make n (-1) in
         Array.iteri

@@ -32,4 +32,26 @@ val contract :
     When [budget] (default unlimited) trips mid-contraction, the
     remaining clusters are first-fit packed into [procs] capacity-[b]
     bins instead of matched — a valid but lower-quality partition,
-    recorded as a ["mwm-contract"] truncation on the budget. *)
+    recorded as a ["mwm-contract"] truncation on the budget.
+
+    {b Cost.}  The greedy phase sorts the [E] edges once and then
+    costs O(E α(V)).  Each matching pass of the pairing phase over [k]
+    clusters gathers one weight row per cluster — its weight to every
+    cluster its members touch — in O(V + E), and matches the
+    capacity-fitting pairs of positive weight.  Once a pass the budget
+    paid for in full pairs nothing, no fitting pair can weigh more than
+    0 again, so the zero-weight merges that follow do no weight work:
+    each takes the first fitting pair of maximal weight in O(k) plus
+    the rows it reads.
+
+    {b Fuel.}  The greedy phase charges 1 per edge, in weight order;
+    each reduction step charges [k]; and every scan of the pairing
+    phase (a matching pass, a zero-weight merge) charges [s_a + s_c]
+    for each capacity-fitting pair of clusters [a < c], in scan order,
+    where [s] is a cluster's size.  A scan the fuel cap can afford is
+    charged in one poll, summed from a histogram of cluster sizes;
+    only the scan where the cap trips polls pair by pair, and it uses
+    the pairs paid for before the trip.  A scan with no fitting pair
+    polls nothing.  So fuel, truncations and the contraction itself
+    are the same as when every pair was polled and weighed one by one,
+    for every graph and every fuel cap. *)

@@ -300,16 +300,23 @@ let test_service_program_size_cap () =
         Alcotest.(check bool) "names the cap" true (contains e "too large")
       | Ok _ -> Alcotest.fail "oversized program should be refused")
 
-(* retries run back to back: a request that trips its deadline on
-   every attempt runs the whole ladder and answers the same way each
-   time, wall-clock aside *)
+(* retries run back to back: a request that runs out of fuel on every
+   attempt (fuel is per attempt) runs the whole ladder and answers the
+   same way each time, wall-clock aside *)
 let test_service_retries_back_to_back () =
-  let req = parse_ok "nbody ring:8 deadline-ms=0 retries=2" in
+  let req = parse_ok "nbody ring:8 fuel=10 retries=2" in
   let a = Service.run_request req in
   let b = Service.run_request req in
   let mask r = { r with Service.r_elapsed_ms = 0.0 } in
   Alcotest.(check int) "all three attempts ran" 3 a.Service.r_attempts;
   Alcotest.(check bool) "same outcome, wall-clock aside" true (mask a = mask b)
+
+(* the deadline is one per request: once attempt 1 has spent it, no
+   retry starts *)
+let test_service_deadline_spans_retries () =
+  let r = Service.run_request (parse_ok "nbody ring:8 deadline-ms=0 retries=2") in
+  Alcotest.(check bool) "ok" true r.Service.r_ok;
+  Alcotest.(check int) "one attempt" 1 r.Service.r_attempts
 
 let test_service_poisoned_request () =
   let r = Service.run_request (parse_ok "./no-such-file.larcs ring:4") in
@@ -433,6 +440,8 @@ let () =
             test_service_program_size_cap;
           Alcotest.test_case "retries run back to back" `Quick
             test_service_retries_back_to_back;
+          Alcotest.test_case "deadline spans retries" `Quick
+            test_service_deadline_spans_retries;
           Alcotest.test_case "poisoned request" `Quick
             test_service_poisoned_request;
           Alcotest.test_case "budgeted request" `Quick
